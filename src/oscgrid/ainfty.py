@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, WeightedGrid, default_mode
-from .oscillation import gr_epsilon
+from .oscillation import _cube_arrays, gr_epsilon
 from . import scan
 
 __all__ = [
@@ -93,17 +93,11 @@ class MarginReport:
         }
 
 
-def _cube_at(origins: np.ndarray, i: int, side: int) -> Cube:
-    return Cube(tuple(int(x) for x in origins[i]), side)
-
-
 def level_fraction(wg: WeightedGrid, cube: Cube, beta: float) -> float:
     """mu{cells in Q with value > beta*mean(Q)} / mu(Q), strict inequality."""
     if not (0 < beta < 1):
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    sl = cube.slices()
-    w = wg.weights[sl].ravel()
-    v = wg.values[sl].ravel()
+    w, v = _cube_arrays(wg, cube)
     mass = math.fsum(w)
     if not mass > 0:
         raise DomainError("zero-mass cube")
@@ -149,21 +143,29 @@ def alpha_profile(
     if not (0 < beta < 1):
         raise DomainError(f"beta must lie in (0,1), got {beta}")
     mode = mode or default_mode(wg.grid)
-    scan.warm_tables(wg)
-
-    def work(side, origins, seq_start):
-        mass, wv, means = scan.batch_mass_mean(wg, side, origins)
-        valid = (mass > 0) & (wv > 0)
-        _, lvl = scan.batch_osc_level(wg, side, origins, thresholds=beta * means)
-        frac = np.divide(lvl, mass, out=np.ones_like(lvl), where=mass > 0)
-        return scan.first_extremum(frac, valid, side, origins, seq_start, maximize=False)
-
-    best = scan.merge_candidates(
-        scan.map_batches(wg.grid, mode, work, threads), maximize=False
-    )
+    red = scan.Reduction(_level_fraction, maximize=False, level=beta)
+    best = scan.reduce_family(wg, mode, red, threads).best
     if best is None:
         raise DomainError("empty measure: no cube has positive mass and positive mean")
     return best.value, best.cube
+
+
+def _level_fraction(s: scan.CubeStats) -> np.ndarray:
+    return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
+
+
+def _margin_report(res: scan.ReductionResult, mode: EnumerationMode, tol: float) -> MarginReport:
+    if res.best is None:
+        raise DomainError("empty measure: no cube has positive mass and positive mean")
+    return MarginReport(
+        worst_margin=res.best.value,
+        witness=res.best.cube,
+        mode=mode,
+        holds=res.holds,
+        cubes_scanned=res.cubes,
+        skipped_zero_mean=res.skipped_zero_mean,
+        tolerance=tol,
+    )
 
 
 def verify_gr_to_ainfty(
@@ -192,31 +194,13 @@ def verify_gr_to_ainfty(
         )
     beta = 1.0 - epsilon / lam
     alpha = 1.0 - lam / 2.0
-    scan.warm_tables(wg)
-
-    def work(side, origins, seq_start):
-        mass, wv, means = scan.batch_mass_mean(wg, side, origins)
-        valid = (mass > 0) & (wv > 0)
-        _, lvl = scan.batch_osc_level(wg, side, origins, thresholds=beta * means)
-        margin = lvl - alpha * mass
-        ok = bool(np.all(margin[valid] >= -tol * mass[valid]))
-        cand = scan.first_extremum(margin, valid, side, origins, seq_start, maximize=False)
-        skipped = int(np.count_nonzero(mass > 0) - np.count_nonzero(valid))
-        return cand, ok, len(origins), skipped
-
-    results = scan.map_batches(wg.grid, mode, work, threads)
-    best = scan.merge_candidates((r[0] for r in results), maximize=False)
-    if best is None:
-        raise DomainError("empty measure: no cube has positive mass and positive mean")
-    return MarginReport(
-        worst_margin=best.value,
-        witness=best.cube,
-        mode=mode,
-        holds=all(r[1] for r in results),
-        cubes_scanned=sum(r[2] for r in results),
-        skipped_zero_mean=sum(r[3] for r in results),
-        tolerance=tol,
+    red = scan.Reduction(
+        lambda s: s.lvl - alpha * s.mass,
+        maximize=False,
+        level=beta,
+        floor=lambda s: -tol * s.mass,
     )
+    return _margin_report(scan.reduce_family(wg, mode, red, threads), mode, tol)
 
 
 def verify_ainfty_to_gr(
@@ -234,46 +218,24 @@ def verify_ainfty_to_gr(
     """
     mode = mode or default_mode(wg.grid)
     bound = ainfty_to_gr_bound(params)
-    scan.warm_tables(wg)
 
-    def work(side, origins, seq_start):
-        mass, wv, means = scan.batch_mass_mean(wg, side, origins)
-        valid = (mass > 0) & (wv > 0)
-        osc_num, lvl = scan.batch_osc_level(
-            wg, side, origins, means=means, thresholds=params.beta * means
-        )
-        frac = np.divide(lvl, mass, out=np.ones_like(lvl), where=mass > 0)
-        violation = None
-        breached = valid & (frac <= params.alpha)
-        if breached.any():
-            i = int(np.argmax(breached))
-            violation = scan.Candidate(
-                float(frac[i]), seq_start + i, _cube_at(origins, i, side)
-            )
-        osc = np.divide(osc_num, mass, out=np.zeros_like(osc_num), where=mass > 0)
-        margin = bound * means - osc
-        ok = bool(np.all(margin[valid] >= -tol * means[valid]))
-        cand = scan.first_extremum(margin, valid, side, origins, seq_start, maximize=False)
-        skipped = int(np.count_nonzero(mass > 0) - np.count_nonzero(valid))
-        return cand, ok, len(origins), skipped, violation
+    def margin(s: scan.CubeStats) -> np.ndarray:
+        osc = np.divide(s.osc, s.mass, out=np.zeros_like(s.osc), where=s.mass > 0)
+        return bound * s.mean - osc
 
-    results = scan.map_batches(wg.grid, mode, work, threads)
-    breach = next((r[4] for r in results if r[4] is not None), None)
-    if breach is not None:
+    red = scan.Reduction(
+        margin,
+        maximize=False,
+        osc=True,
+        level=params.beta,
+        floor=lambda s: -tol * s.mean,
+        breach=(_level_fraction, params.alpha),
+    )
+    res = scan.reduce_family(wg, mode, red, threads)
+    if res.breach is not None:
         raise PreconditionError(
             f"input not in A_inf(alpha={params.alpha}, beta={params.beta}): "
-            f"level condition fails on cube {breach.cube}",
-            witness=breach.cube,
+            f"level condition fails on cube {res.breach.cube}",
+            witness=res.breach.cube,
         )
-    best = scan.merge_candidates((r[0] for r in results), maximize=False)
-    if best is None:
-        raise DomainError("empty measure: no cube has positive mass and positive mean")
-    return MarginReport(
-        worst_margin=best.value,
-        witness=best.cube,
-        mode=mode,
-        holds=all(r[1] for r in results),
-        cubes_scanned=sum(r[2] for r in results),
-        skipped_zero_mean=sum(r[3] for r in results),
-        tolerance=tol,
-    )
+    return _margin_report(res, mode, tol)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ainfty import LevelParams, alpha_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
+from .covering import build_covering, cell_set
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
 from .grids import EnumerationMode, default_mode
@@ -45,9 +46,19 @@ def _dump_report(command: str, digest: str, mode, payload: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need a positive thread count, got {text!r}")
+    return count
+
+
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", default="auto", help="all | dyadic | sample:COUNT:SEED")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1)
     parser.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
     parser.add_argument("--tolerance", type=float, default=1e-12)
 
@@ -205,14 +216,10 @@ def _measured_overlap(wg, epsilon: float, delta: float):
     bound.  One fixed-point step: optimize with overlap 1, build the
     covering that the tail-bound verification would build at the resulting
     (lambda, rho) and the largest admissible t, then report its overlap."""
-    from .covering import build_covering, cell_set
-    from .rearrangement import evaluate as sf_evaluate
-    from .rearrangement import rearrangement as build_sf
-
     lam, rho, _ = optimize_rh_exponent(epsilon, overlap=1.0, delta=delta)
-    sf = build_sf(wg)
+    sf = rearrangement(wg)
     t = rho * wg.total_mass
-    fstar = float(sf_evaluate(sf, t))
+    fstar = float(evaluate(sf, t))
     if fstar == 0.0:
         return 1.0, {"rho_lo": None, "rho_hi": None, "overlap": 1, "n_cubes": 0}
     cover = build_covering(wg, cell_set(wg, wg.values > fstar), rho=rho, rho_cap=1 - lam / 2)
@@ -307,7 +314,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConfigurationError, DataValidationError, DomainError, FileNotFoundError) as exc:
+    except (ConfigurationError, DataValidationError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,6 @@ in the way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -57,10 +56,6 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.shape)
-
-    @property
-    def cell_edges(self) -> tuple[float, ...]:
-        return tuple(1.0 / n for n in self.shape)
 
     @property
     def ncells(self) -> int:
@@ -221,9 +216,11 @@ class WeightedGrid:
     """A grid plus per-cell measure masses and function values.
 
     Arrays are stored read-only in grid shape (row-major); prefix tables for
-    the weights and the weight*value products are built lazily and cached,
-    after which every query is pure, so instances are safe to share across
-    threads.
+    the weights and the weight*value products, and for 1D grids the
+    range-threshold index, are built lazily and cached, after which every
+    query is pure, so instances are safe to share across threads.  The
+    window masses that 1D level reductions tabulate are deterministic, so
+    two threads filling the same side store the same array.
     """
 
     def __init__(self, grid: Grid, weights, values):
@@ -236,6 +233,8 @@ class WeightedGrid:
         self.values = v
         self._w_prefix: np.ndarray | None = None
         self._wv_prefix: np.ndarray | None = None
+        self._threshold_index = None
+        self.window_masses: dict[int, np.ndarray] = {}  # side -> see scan._window_masses
 
     @property
     def w_prefix(self) -> np.ndarray:
@@ -253,10 +252,14 @@ class WeightedGrid:
     def total_mass(self) -> float:
         return float(self.w_prefix[tuple(-1 for _ in range(self.grid.dim))])
 
-    def full_cube(self) -> Cube:
-        if not self.grid.is_square():
-            raise ConfigurationError("the full domain is a cube only for equal axis counts")
-        return Cube((0,) * self.grid.dim, self.grid.shape[0])
+    @property
+    def threshold_index(self):
+        """Range-threshold index of a 1D grid (see rangesum), built on first use."""
+        if self._threshold_index is None:
+            from .rangesum import RangeThresholdIndex  # rangesum builds on this module
+
+            self._threshold_index = RangeThresholdIndex(self.weights, self.values)
+        return self._threshold_index
 
 
 @dataclass(frozen=True)
@@ -368,17 +371,31 @@ def iter_origin_batches(
             yield side, origins, seq
             seq += origins.shape[0]
     else:
-        sides, cum = family_counts(grid)
-        total = int(cum[-1])
-        rng = np.random.default_rng(mode.seed)
-        draws = rng.integers(0, total, size=mode.count)
-        for seq, draw in enumerate(draws):
-            si = int(np.searchsorted(cum, draw, side="right"))
-            side = int(sides[si])
-            offset = int(draw - (cum[si - 1] if si > 0 else 0))
-            dims = tuple(n - side + 1 for n in grid.shape)
-            origin = np.asarray(np.unravel_index(offset, dims), dtype=np.int64)
-            yield side, origin[None, :], seq
+        sides, origins = family_cubes(grid, sample_positions(grid, mode))
+        for seq in range(mode.count):
+            yield int(sides[seq]), origins[seq : seq + 1], seq
+
+
+def sample_positions(grid: Grid, mode: EnumerationMode) -> np.ndarray:
+    """Positions in the canonical "all" order of the cubes a sample mode
+    draws, in draw order (uniform, with replacement, deterministic in seed)."""
+    _, cum = family_counts(grid)
+    return np.random.default_rng(mode.seed).integers(0, int(cum[-1]), size=mode.count)
+
+
+def family_cubes(grid: Grid, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sides (k,), origins (k, dim)) of the cubes at the given positions of
+    the canonical "all" order."""
+    sides, cum = family_counts(grid)
+    si = np.searchsorted(cum, positions, side="right")
+    offset = positions - np.where(si > 0, cum[si - 1], 0)
+    side = sides[si]
+    origins = np.empty((len(positions), grid.dim), dtype=np.int64)
+    for axis in reversed(range(grid.dim)):
+        extent = grid.shape[axis] - side + 1
+        origins[:, axis] = offset % extent
+        offset = offset // extent
+    return side, origins
 
 
 def family_size(grid: Grid, mode: EnumerationMode) -> int:
@@ -390,7 +407,3 @@ def family_size(grid: Grid, mode: EnumerationMode) -> int:
         )
     _, cum = family_counts(grid)
     return int(cum[-1])
-
-
-def iter_cells(shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*(range(n) for n in shape))

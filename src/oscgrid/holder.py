@@ -337,14 +337,15 @@ def rh_constant(
         raise DomainError(f"exponent must satisfy p > 1, got {p}")
     mode = mode or default_mode(wg.grid)
     scan.warm_tables(wg)
-    wvp_prefix = _prefix_table(wg.weights * wg.values**p)
+    with np.errstate(over="ignore"):  # overflow shows up as a non-finite c_hat
+        wvp_prefix = _prefix_table(wg.weights * wg.values**p)
     inv_p = 1.0 / p
 
     def work(side, origins, seq_start):
         mass, wv, means = scan.batch_mass_mean(wg, side, origins)
         valid = (mass > 0) & (wv > 0)
-        psum = box_sums(wvp_prefix, origins, side)
         with np.errstate(invalid="ignore", divide="ignore"):
+            psum = box_sums(wvp_prefix, origins, side)
             ratio = np.where(valid, (psum / mass) ** inv_p / means, 0.0)
         return scan.first_extremum(ratio, valid, side, origins, seq_start, maximize=True)
 
@@ -353,4 +354,8 @@ def rh_constant(
     )
     if best is None:
         raise DomainError("empty measure: no cube has positive mass and positive mean")
+    if not math.isfinite(best.value):
+        raise DomainError(
+            f"c_hat is not finite at p={p}: Sum w*v^p overflows float64 on cube {best.cube}"
+        )
     return best.value, best.cube

@@ -109,18 +109,14 @@ def gr_epsilon(
     in canonical order attaining the maximum.
     """
     mode = mode or default_mode(wg.grid)
-    scan.warm_tables(wg)
-    total = 0
-
-    def work(side, origins, seq_start):
-        mass, wv, means = scan.batch_mass_mean(wg, side, origins)
-        osc_num, _ = scan.batch_osc_level(wg, side, origins, means=means)
-        ratio = np.divide(osc_num, wv, out=np.zeros_like(osc_num), where=wv > 0)
-        return scan.first_extremum(ratio, mass > 0, side, origins, seq_start, maximize=True), len(origins)
-
-    results = scan.map_batches(wg.grid, mode, work, threads)
-    total = sum(n for _, n in results)
-    best = scan.merge_candidates((c for c, _ in results), maximize=True)
-    if best is None:
+    red = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=False)
+    res = scan.reduce_family(wg, mode, red, threads)
+    if res.best is None:
         raise DomainError("empty measure: no cube has positive mass")
-    return GRResult(epsilon=best.value, witness=best.cube, mode=mode, cubes_scanned=total)
+    return GRResult(
+        epsilon=res.best.value, witness=res.best.cube, mode=mode, cubes_scanned=res.cubes
+    )
+
+
+def _gr_ratio(s: scan.CubeStats) -> np.ndarray:
+    return np.divide(s.osc, s.wv, out=np.zeros_like(s.osc), where=s.wv > 0)

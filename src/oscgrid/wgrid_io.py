@@ -55,7 +55,11 @@ def _load_json(path: Path) -> WeightedGrid:
         shape = tuple(int(n) for n in obj["shape"])
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"shape: {exc}") from exc
-    if int(obj["dim"]) != len(shape):
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError) as exc:
+        raise DataValidationError(f"dim: {exc}") from exc
+    if dim != len(shape):
         raise DataValidationError(f"dim: {obj['dim']} does not match shape of length {len(shape)}")
     grid = Grid(shape)
     weights = _parse_numbers(obj["weights"], "weights", grid.ncells)

@@ -47,6 +47,8 @@ def test_level_fraction_spike():
 def test_level_fraction_validates():
     with pytest.raises(DomainError):
         level_fraction(spike4(), Cube((0,), 4), 1.5)
+    with pytest.raises(DomainError, match="does not fit"):
+        level_fraction(spike4(), Cube((3,), 5), 0.5)
 
 
 def test_alpha_profile_constant():

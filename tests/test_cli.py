@@ -216,3 +216,31 @@ def test_mode_flag(tmp_path, capsys):
     assert json.loads(out)["mode"] == {"tag": "sample", "count": 20, "seed": 3}
     code, _, _ = run_cli(capsys, "analyze", path, "--mode", "bogus")
     assert code == 2
+
+
+def test_rh_non_finite_c_hat_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "wild.json"
+    spec = json.dumps({"kind": "random", "shape": [64], "kind_params": {"seed": 1, "log_sigma": 3}})
+    assert run_cli(capsys, "generate", "--spec", spec, "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "rh", str(path), "--p", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: c_hat is not finite") and err.count("\n") == 1
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "analyze", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "x"])
+def test_threads_must_be_positive(tmp_path, capsys, count):
+    path = write_two_cell(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", path, "--threads", count)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err

@@ -180,6 +180,8 @@ def test_wgrid_csv_load(tmp_path):
         (lambda o: o.__setitem__("values", [1.0, float("nan")]), "NaN"),
         (lambda o: o.__setitem__("shape", [3]), "expected 3 entries"),
         (lambda o: o.pop("values"), "values: missing"),
+        (lambda o: o.__setitem__("dim", "x"), "dim: invalid literal"),
+        (lambda o: o.__setitem__("dim", 2), "dim: 2 does not match"),
     ],
 )
 def test_loader_rejections(tmp_path, mutate, field):
