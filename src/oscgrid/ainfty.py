@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, WeightedGrid, default_mode
-from .oscillation import _cube_arrays, gr_epsilon
+from .oscillation import _cube_moments, gr_epsilon
 from . import scan
 
 __all__ = [
@@ -97,11 +97,7 @@ def level_fraction(wg: WeightedGrid, cube: Cube, beta: float) -> float:
     """mu{cells in Q with value > beta*mean(Q)} / mu(Q), strict inequality."""
     if not (0 < beta < 1):
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    w, v = _cube_arrays(wg, cube)
-    mass = math.fsum(w)
-    if not mass > 0:
-        raise DomainError("zero-mass cube")
-    m = math.fsum(w * v) / mass
+    w, v, mass, m = _cube_moments(wg, cube)
     return math.fsum(w[v > beta * m]) / mass
 
 
@@ -132,7 +128,7 @@ def roundtrip_epsilon(epsilon: float, lam: float) -> float:
 
 
 def alpha_profile(
-    wg: WeightedGrid, beta: float, mode: EnumerationMode | None = None, threads: int = 1
+    wg: WeightedGrid, beta: float, mode: EnumerationMode | None = None
 ) -> tuple[float, Cube]:
     """Largest certifiable level fraction at this beta.
 
@@ -144,7 +140,7 @@ def alpha_profile(
         raise DomainError(f"beta must lie in (0,1), got {beta}")
     mode = mode or default_mode(wg.grid)
     red = scan.Reduction(_level_fraction, maximize=False, level=beta)
-    best = scan.reduce_family(wg, mode, red, threads).best
+    best = scan.reduce_family(wg, mode, red).best
     if best is None:
         raise DomainError("empty measure: no cube has positive mass and positive mean")
     return best.value, best.cube
@@ -174,7 +170,6 @@ def verify_gr_to_ainfty(
     lam: float,
     mode: EnumerationMode | None = None,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> MarginReport:
     """Check mu{f > (1 - eps/lambda) mean} >= (1 - lambda/2) mu(Q) on every cube.
 
@@ -185,7 +180,7 @@ def verify_gr_to_ainfty(
     """
     _check_open_interval(epsilon, lam)
     mode = mode or default_mode(wg.grid)
-    measured = gr_epsilon(wg, mode, threads=threads)
+    measured = gr_epsilon(wg, mode)
     if measured.epsilon > epsilon:
         raise PreconditionError(
             f"input not in GR({epsilon}): measured epsilon {measured.epsilon} "
@@ -200,7 +195,7 @@ def verify_gr_to_ainfty(
         level=beta,
         floor=lambda s: -tol * s.mass,
     )
-    return _margin_report(scan.reduce_family(wg, mode, red, threads), mode, tol)
+    return _margin_report(scan.reduce_family(wg, mode, red), mode, tol)
 
 
 def verify_ainfty_to_gr(
@@ -208,7 +203,6 @@ def verify_ainfty_to_gr(
     params: LevelParams,
     mode: EnumerationMode | None = None,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> MarginReport:
     """Check osc(Q) <= 2(1 - alpha*beta) mean(Q) on every cube.
 
@@ -231,7 +225,7 @@ def verify_ainfty_to_gr(
         floor=lambda s: -tol * s.mean,
         breach=(_level_fraction, params.alpha),
     )
-    res = scan.reduce_family(wg, mode, red, threads)
+    res = scan.reduce_family(wg, mode, red)
     if res.breach is not None:
         raise PreconditionError(
             f"input not in A_inf(alpha={params.alpha}, beta={params.beta}): "

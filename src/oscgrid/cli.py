@@ -58,7 +58,9 @@ def _thread_count(text: str) -> int:
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", default="auto", help="all | dyadic | sample:COUNT:SEED")
-    parser.add_argument("--threads", type=_thread_count, default=1)
+    parser.add_argument(
+        "--threads", type=_thread_count, default=1, help="accepted for compatibility and ignored"
+    )
     parser.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
     parser.add_argument("--tolerance", type=float, default=1e-12)
 
@@ -81,11 +83,11 @@ def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
 def _cmd_analyze(args) -> int:
     wg = load_wgrid(args.input)
     mode = _resolve_mode(args.mode, wg.grid)
-    gr = gr_epsilon(wg, mode, threads=args.threads)
+    gr = gr_epsilon(wg, mode)
     betas = np.linspace(0.05, 0.95, args.beta_grid)
     profile = []
     for beta in betas:
-        alpha_star, witness = alpha_profile(wg, float(beta), mode, threads=args.threads)
+        alpha_star, witness = alpha_profile(wg, float(beta), mode)
         profile.append({"beta": float(beta), "alpha_star": alpha_star, "witness": witness.to_json()})
     sf = rearrangement(wg)
     payload = {
@@ -124,7 +126,7 @@ def _cmd_theorem1(args) -> int:
         if args.epsilon is None or args.lam is None:
             raise ConfigurationError("forward direction needs --epsilon and --lambda")
         report = verify_gr_to_ainfty(
-            wg, args.epsilon, args.lam, mode, tol=args.tolerance, threads=args.threads
+            wg, args.epsilon, args.lam, mode, tol=args.tolerance
         )
         payload = {"direction": "fwd", "epsilon": args.epsilon, "lambda": args.lam}
     else:
@@ -135,7 +137,6 @@ def _cmd_theorem1(args) -> int:
             LevelParams(alpha=args.alpha, beta=args.beta),
             mode,
             tol=args.tolerance,
-            threads=args.threads,
         )
         payload = {"direction": "rev", "alpha": args.alpha, "beta": args.beta}
     payload["report"] = report.to_json()
@@ -155,7 +156,7 @@ def _cmd_theorem2(args) -> int:
         epsilon=args.epsilon, lam=args.lam, rho=args.rho, t_values=tuple(args.t)
     )
     report = verify_rearrangement_bound(
-        wg, params, mode, tol=args.tolerance, threads=args.threads
+        wg, params, mode, tol=args.tolerance
     )
     payload = report.to_json()
     _write_csv(
@@ -180,7 +181,7 @@ def _cmd_rh(args) -> int:
     if args.b_from_covering and not args.auto:
         raise ConfigurationError("--B-from-covering needs --auto")
     if args.auto:
-        gr = gr_epsilon(wg, mode, threads=args.threads)
+        gr = gr_epsilon(wg, mode)
         if gr.epsilon <= 0:
             raise DomainError("measured epsilon is 0 (constant data); pass --p explicitly")
         overlap = 1.0
@@ -202,7 +203,7 @@ def _cmd_rh(args) -> int:
         if args.p is None:
             raise ConfigurationError("need --p or --auto")
         p = args.p
-    c_hat, witness = rh_constant(wg, p, mode, threads=args.threads)
+    c_hat, witness = rh_constant(wg, p, mode)
     payload.update({"p": p, "c_hat": c_hat, "witness": witness.to_json()})
     _write_csv(args.plot_dir, "rh_constant.csv", "p,c_hat", [(p, c_hat)])
     sys.stdout.write(_dump_report("rh", file_digest(args.input), mode, payload))

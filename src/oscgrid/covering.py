@@ -40,9 +40,6 @@ class CellSet:
     membership: np.ndarray
     mass: float
 
-    def recompute_mass(self, wg: WeightedGrid) -> float:
-        return float(np.sum(wg.weights[self.membership]))
-
 
 def cell_set(wg: WeightedGrid, membership: np.ndarray) -> CellSet:
     mask = np.asarray(membership, dtype=bool).reshape(wg.grid.shape).copy()

@@ -5,7 +5,8 @@ Each cell carries a measure mass (mu of the cell, not a density) and a
 function value (f constant on the cell).  Subcubes are cell-aligned with
 equal integer side in every axis.  Aggregate queries (cube mass, weighted
 sums over a cube) go through padded prefix-sum tables, so a single query
-costs O(2^n) lookups.
+costs O(2^n) lookups.  Cube families (every subcube in dims 1..3, dyadic
+cubes in any dimension, a seeded sample) come in batches of origins.
 
 Cell weights are masses on purpose: strongly non-doubling measures are
 expressed directly by wildly varying weights with no quadrature convention
@@ -217,10 +218,7 @@ class WeightedGrid:
 
     Arrays are stored read-only in grid shape (row-major); prefix tables for
     the weights and the weight*value products, and for 1D grids the
-    range-threshold index, are built lazily and cached, after which every
-    query is pure, so instances are safe to share across threads.  The
-    window masses that 1D level reductions tabulate are deterministic, so
-    two threads filling the same side store the same array.
+    range-threshold index, are built lazily and cached.
     """
 
     def __init__(self, grid: Grid, weights, values):
@@ -396,14 +394,3 @@ def family_cubes(grid: Grid, positions: np.ndarray) -> tuple[np.ndarray, np.ndar
         origins[:, axis] = offset % extent
         offset = offset // extent
     return side, origins
-
-
-def family_size(grid: Grid, mode: EnumerationMode) -> int:
-    if mode.tag == "sample":
-        return int(mode.count)
-    if mode.tag == "dyadic":
-        return sum(
-            int(np.prod([n // s for n in grid.shape])) for s in dyadic_sides(grid)
-        )
-    _, cum = family_counts(grid)
-    return int(cum[-1])

@@ -28,9 +28,9 @@ inequality for every exponent
 
 which is what rh_exponent_bound returns; the identity
 (p_max - 1) * (K - 1) = 1 ties the two constants together.
-optimize_rh_exponent maximizes the exponent over lambda with
-rho(lambda) = (1 - lambda/2)(1 - delta) pinned a safety gap below its open
-constraint.  rh_constant measures the best empirical RH constant
+optimize_rh_exponent maximizes the exponent over lambda in closed form,
+with rho(lambda) = (1 - lambda/2)(1 - delta) pinned a safety gap below its
+open constraint.  rh_constant measures the best empirical RH constant
 
     c_hat = max_Q (p-mean of f over Q) / (mean of f over Q)
 
@@ -95,10 +95,12 @@ def optimize_rh_exponent(
 ) -> tuple[float, float, float]:
     """Maximize the exponent bound over lambda in (epsilon, 2).
 
-    rho is tied to lambda as (1 - lambda/2)*(1 - delta), a safety gap below
-    the open constraint.  The objective is smooth and single-peaked there;
-    golden-section search refines lambda to 1e-9, with a dense-grid
-    fallback should the grid sanity check ever beat the search result.
+    rho is tied to lambda as (1 - lambda/2)*c with c = 1 - delta, a safety
+    gap below the open constraint.  Then p - 1 is proportional to
+    (lambda - eps)(2 - lambda)/((2 - c)*lambda + 2c), whatever the overlap,
+    and its one critical point in (eps, 2) is the positive root of
+    (2 - c)*lambda^2 + 4c*lambda - 4(c + eps) = 0.  lambda_star is kept at
+    least max(1e-12*(2 - eps), 1e-15) inside the open interval.
     Returns (lambda_star, rho_star, p_star).
     """
     if not (0 < epsilon < 2):
@@ -107,49 +109,13 @@ def optimize_rh_exponent(
         raise DomainError(f"overlap constant must be >= 1, got {overlap}")
     if not (0 < delta < 1):
         raise DomainError(f"need 0 < delta < 1, got {delta}")
-
-    def objective(lam):
-        rho = (1.0 - lam / 2.0) * (1.0 - delta)
-        return 1.0 + (lam - epsilon) / (overlap * (lam / rho + 1.0) * epsilon)
-
-    span = 2.0 - epsilon
-    a = epsilon + max(1e-12 * span, 1e-15)
-    b = 2.0 - max(1e-12 * span, 1e-15)
-    lam_star = _golden_max(objective, a, b, tol=1e-9)
-
-    grid = np.linspace(a, b, 1001)
-    rho_grid = (1.0 - grid / 2.0) * (1.0 - delta)
-    p_grid = 1.0 + (grid - epsilon) / (overlap * (grid / rho_grid + 1.0) * epsilon)
-    if p_grid.max() > objective(lam_star) * (1 + 1e-10):
-        fine = np.linspace(a, b, 10_000)
-        rho_fine = (1.0 - fine / 2.0) * (1.0 - delta)
-        p_fine = 1.0 + (fine - epsilon) / (overlap * (fine / rho_fine + 1.0) * epsilon)
-        k = int(np.argmax(p_fine))
-        lo = fine[max(k - 1, 0)]
-        hi = fine[min(k + 1, fine.size - 1)]
-        lam_star = _golden_max(objective, lo, hi, tol=1e-9)
-
-    rho_star = (1.0 - lam_star / 2.0) * (1.0 - delta)
-    return lam_star, rho_star, objective(lam_star)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> float:
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+    c = 1.0 - delta
+    lam_star = 2.0 * (math.sqrt(c * c + (2.0 - c) * (c + epsilon)) - c) / (2.0 - c)
+    gap = max(1e-12 * (2.0 - epsilon), 1e-15)
+    lam_star = min(max(lam_star, epsilon + gap), 2.0 - gap)
+    rho_star = (1.0 - lam_star / 2.0) * c
+    p_star = 1.0 + (lam_star - epsilon) / (overlap * (lam_star / rho_star + 1.0) * epsilon)
+    return lam_star, rho_star, p_star
 
 
 @dataclass(frozen=True)
@@ -163,12 +129,7 @@ class TailBoundParams:
     t_values: tuple[float, ...]
 
     def __post_init__(self):
-        if not (0 < self.epsilon < self.lam < 2):
-            raise DomainError(
-                f"need 0 < epsilon < lambda < 2, got epsilon={self.epsilon} lambda={self.lam}"
-            )
-        if not (0 < self.rho < 1 - self.lam / 2):
-            raise DomainError(f"need 0 < rho < 1 - lambda/2, got rho={self.rho}")
+        _check_bound_params(self.epsilon, self.lam, self.rho, 1.0)
         ts = tuple(float(t) for t in self.t_values)
         if not ts or any(not (t > 0) for t in ts):
             raise DomainError("t values must be positive")
@@ -245,7 +206,6 @@ def verify_rearrangement_bound(
     params: TailBoundParams,
     mode: EnumerationMode | None = None,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> TailBoundReport:
     """Run the full average-vs-rearrangement verification at each t.
 
@@ -257,7 +217,7 @@ def verify_rearrangement_bound(
     for data vanishing mu-a.e.) is recorded as degenerate, not asserted.
     """
     mode = mode or default_mode(wg.grid)
-    measured = gr_epsilon(wg, mode, threads=threads)
+    measured = gr_epsilon(wg, mode)
     if measured.epsilon > params.epsilon:
         raise PreconditionError(
             f"input not in GR({params.epsilon}): measured epsilon {measured.epsilon} "
@@ -290,18 +250,20 @@ def verify_rearrangement_bound(
             continue
         target = cell_set(wg, wg.values > fstar)
         cover = build_covering(wg, target, rho=rho, rho_cap=rho_cap)
-        mean_margins = []
-        osc_margins = []
-        for cube in cover.cubes:
-            stats = oscillation(wg, cube)
-            if stats.osc > eps * stats.mean * (1 + 1e-12):
-                raise PreconditionError(
-                    f"input not in GR({eps}) on covering cube {cube}: "
-                    f"osc/mean = {stats.osc / stats.mean}",
-                    witness=cube,
-                )
-            mean_margins.append(lam / (lam - eps) * fstar - stats.mean)
-            osc_margins.append(eps * lam / (lam - eps) * fstar - stats.osc)
+        stats = [oscillation(wg, cube) for cube in cover.cubes]
+        failed = [i for i, s in enumerate(stats) if s.osc > eps * s.mean * (1 + 1e-12)]
+        if failed:
+            ratios = [s.osc / s.mean for s in stats]
+            raise PreconditionError(
+                f"input not in GR({eps}) on covering cube {cover.cubes[failed[0]]}: "
+                f"osc/mean = {ratios[failed[0]]}; the largest over the {len(stats)} "
+                f"covering cubes at t={t} is {max(ratios)}"
+                + ("" if mode.tag == "all" else f"; epsilon was measured over the "
+                   f"{mode.label()} family, which does not contain the covering cubes"),
+                witness=cover.cubes[failed[0]],
+            )
+        mean_margins = [lam / (lam - eps) * fstar - s.mean for s in stats]
+        osc_margins = [eps * lam / (lam - eps) * fstar - s.osc for s in stats]
         rho_eff = cover.rho_lo if cover.rho_lo is not None and cover.rho_lo > 0 else rho
         k_achieved = _k_formula(eps, lam, rho_eff, cover.overlap)
         k_nominal = _k_formula(eps, lam, rho, cover.overlap)
@@ -325,7 +287,7 @@ def verify_rearrangement_bound(
 
 
 def rh_constant(
-    wg: WeightedGrid, p: float, mode: EnumerationMode | None = None, threads: int = 1
+    wg: WeightedGrid, p: float, mode: EnumerationMode | None = None
 ) -> tuple[float, Cube]:
     """Empirical reverse Holder constant over the enumerated family.
 
@@ -336,7 +298,6 @@ def rh_constant(
     if not p > 1:
         raise DomainError(f"exponent must satisfy p > 1, got {p}")
     mode = mode or default_mode(wg.grid)
-    scan.warm_tables(wg)
     with np.errstate(over="ignore"):  # overflow shows up as a non-finite c_hat
         wvp_prefix = _prefix_table(wg.weights * wg.values**p)
     inv_p = 1.0 / p
@@ -350,7 +311,7 @@ def rh_constant(
         return scan.first_extremum(ratio, valid, side, origins, seq_start, maximize=True)
 
     best = scan.merge_candidates(
-        scan.map_batches(wg.grid, mode, work, threads), maximize=True
+        scan.map_batches(wg.grid, mode, work), maximize=True
     )
     if best is None:
         raise DomainError("empty measure: no cube has positive mass and positive mean")

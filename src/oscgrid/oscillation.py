@@ -70,28 +70,26 @@ class GRResult:
         }
 
 
-def _cube_arrays(wg: WeightedGrid, cube: Cube):
+def _cube_moments(wg: WeightedGrid, cube: Cube):
+    """(w, v, mass, mean) of one cube, with exact (fsum) accumulation."""
     if not cube.valid_for(wg.grid):
         raise DomainError(f"cube {cube} does not fit grid shape {wg.grid.shape}")
     sl = cube.slices()
-    return wg.weights[sl].ravel(), wg.values[sl].ravel()
+    w, v = wg.weights[sl].ravel(), wg.values[sl].ravel()
+    mass = math.fsum(w)
+    if not mass > 0:
+        raise DomainError("zero-mass cube")
+    return w, v, mass, math.fsum(w * v) / mass
 
 
 def mean(wg: WeightedGrid, cube: Cube) -> float:
     """Weighted mean of f over the cube; exact accumulation."""
-    w, v = _cube_arrays(wg, cube)
-    mass = math.fsum(w)
-    if not mass > 0:
-        raise DomainError("zero-mass cube")
-    return math.fsum(w * v) / mass
+    return _cube_moments(wg, cube)[3]
+
 
 def oscillation(wg: WeightedGrid, cube: Cube) -> OscStats:
     """Mean, oscillation, and the lower half-sum for one cube (fsum-based)."""
-    w, v = _cube_arrays(wg, cube)
-    mass = math.fsum(w)
-    if not mass > 0:
-        raise DomainError("zero-mass cube")
-    m = math.fsum(w * v) / mass
+    w, v, mass, m = _cube_moments(wg, cube)
     osc = math.fsum(w * np.abs(v - m)) / mass
     below = v < m
     lower = math.fsum(w[below] * (m - v[below]))
@@ -99,7 +97,7 @@ def oscillation(wg: WeightedGrid, cube: Cube) -> OscStats:
 
 
 def gr_epsilon(
-    wg: WeightedGrid, mode: EnumerationMode | None = None, threads: int = 1
+    wg: WeightedGrid, mode: EnumerationMode | None = None
 ) -> GRResult:
     """Supremum of osc/mean over the enumerated family.
 
@@ -110,7 +108,7 @@ def gr_epsilon(
     """
     mode = mode or default_mode(wg.grid)
     red = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=False)
-    res = scan.reduce_family(wg, mode, red, threads)
+    res = scan.reduce_family(wg, mode, red)
     if res.best is None:
         raise DomainError("empty measure: no cube has positive mass")
     return GRResult(

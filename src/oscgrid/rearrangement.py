@@ -90,16 +90,9 @@ def evaluate(sf: StepFunction, t) -> float | np.ndarray:
 
 
 def average(sf: StepFunction, t) -> float | np.ndarray:
-    """fstarstar(t) = (1/t) Integral_0^t fstar, exact segment sums."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    idx = _segment_index(sf, t_arr)
-    widths = np.diff(sf.breakpoints, prepend=0.0)
-    cumint = np.cumsum(sf.levels * widths)
-    left = np.where(idx > 0, sf.breakpoints[idx - 1], 0.0)
-    base = np.where(idx > 0, cumint[idx - 1], 0.0)
-    integral = base + (t_arr - left) * sf.levels[idx]
-    out = integral / t_arr
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    """fstarstar(t) = (1/t) Integral_0^t fstar, by the tail identity."""
+    star, above_mass, above_integral = tail_identity_parts(sf, t)
+    return (above_integral + (t - above_mass) * star) / t
 
 
 def tail_identity_parts(sf: StepFunction, t) -> tuple:

@@ -11,8 +11,8 @@ enumerated cube family.  This module provides the shared machinery:
   peak memory stays bounded, and fused kernels computing
   Sum w*|v - mean| and Sum w*[v > threshold] from one gather;
 * an argmax/argmin reduction that always returns the first cube in
-  canonical order attaining the extremum, independent of chunking and of
-  the thread count.
+  canonical order attaining the extremum, independent of chunking; scans
+  run in one thread, batch after batch.
 
 Means and masses come from prefix tables (O(2^n) per cube).  The absolute
 deviation and the level mass are not prefix-summable, so in 2D/3D and in
@@ -32,13 +32,13 @@ come from a per-side table of the kernel's window masses instead.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import DomainError
 from .grids import (
     Cube,
     EnumerationMode,
@@ -74,17 +74,9 @@ class Candidate:
 
 def gather_windows(arr: np.ndarray, side: int, origins: np.ndarray) -> np.ndarray:
     """Cells of each cube as rows (k, side**dim), row-major within the cube."""
-    dim = arr.ndim
-    k = origins.shape[0]
-    if dim <= 3:
-        view = sliding_window_view(arr, (side,) * dim)
-        picked = view[tuple(origins[:, axis] for axis in range(dim))]
-        return picked.reshape(k, side**dim)
-    out = np.empty((k, side**dim), dtype=arr.dtype)
-    for i, origin in enumerate(origins):
-        block = arr[tuple(slice(int(o), int(o) + side) for o in origin)]
-        out[i] = block.ravel()
-    return out
+    view = sliding_window_view(arr, (side,) * arr.ndim)
+    picked = view[tuple(origins[:, axis] for axis in range(arr.ndim))]
+    return picked.reshape(origins.shape[0], side**arr.ndim)
 
 
 def batch_mass_mean(wg: WeightedGrid, side: int, origins: np.ndarray):
@@ -161,25 +153,9 @@ def map_batches(
     grid: Grid,
     mode: EnumerationMode,
     fn: Callable[[int, np.ndarray, int], object],
-    threads: int = 1,
 ) -> list:
-    """Apply fn(side, origins, seq_start) to every batch, results in canonical order.
-
-    fn must be pure; with threads > 1 batches run on a pool but the result
-    list (and therefore every downstream reduction) is order-identical to
-    the serial run.
-    """
-    batches = list(iter_origin_batches(grid, mode))
-    if threads <= 1 or len(batches) <= 1:
-        return [fn(*b) for b in batches]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: fn(*b), batches))
-
-
-def warm_tables(wg: WeightedGrid) -> None:
-    """Build the lazy prefix tables before any parallel section."""
-    wg.w_prefix
-    wg.wv_prefix
+    """Apply fn(side, origins, seq_start) to every batch, results in canonical order."""
+    return [fn(*batch) for batch in iter_origin_batches(grid, mode)]
 
 
 class CubeStats(NamedTuple):
@@ -230,16 +206,26 @@ class ReductionResult(NamedTuple):
 
 
 def reduce_family(
-    wg: WeightedGrid, mode: EnumerationMode, red: Reduction, threads: int = 1
+    wg: WeightedGrid, mode: EnumerationMode, red: Reduction
 ) -> ReductionResult:
-    """Reduce `red` over the family of `mode`, screened where the grid allows."""
-    warm_tables(wg)
+    """Reduce `red` over the family of `mode`, screened where the grid allows.
+
+    Every cube's mass and level sum are at most Sum w, and its Sum w*v and
+    Sum w*|v - mean| at most 2*Sum w*v, so a grid whose totals are finite
+    has finite sums on every cube; any other grid is refused.
+    """
+    with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
+        totals = wg.total_mass, 2 * float(wg.wv_prefix[(-1,) * wg.grid.dim])
+    if not all(np.isfinite(totals)):
+        raise DomainError(
+            f"grid totals overflow float64: Sum w = {totals[0]}, 2*Sum w*v = {totals[1]}"
+        )
     if wg.grid.dim == 1 and mode.tag in ("all", "sample") and wg.threshold_index.finite:
-        return _screened_reduce(wg, mode, red, threads)
-    return _kernel_reduce(wg, mode, red, threads)
+        return _screened_reduce(wg, mode, red)
+    return _kernel_reduce(wg, mode, red)
 
 
-def _kernel_reduce(wg, mode, red: Reduction, threads: int) -> ReductionResult:
+def _kernel_reduce(wg, mode, red: Reduction) -> ReductionResult:
     def work(side, origins, seq_start):
         mass, wv, means = batch_mass_mean(wg, side, origins)
         osc, lvl = batch_osc_level(
@@ -265,7 +251,7 @@ def _kernel_reduce(wg, mode, red: Reduction, threads: int) -> ReductionResult:
         skipped = int(np.count_nonzero(stats.mass > 0) - np.count_nonzero(valid))
         return cand, ok, len(origins), skipped, breach
 
-    results = map_batches(wg.grid, mode, work, threads)
+    results = map_batches(wg.grid, mode, work)
     return ReductionResult(
         best=merge_candidates((r[0] for r in results), red.maximize),
         holds=all(r[1] for r in results),
@@ -324,7 +310,7 @@ def _screen_chunk(wg, red: Reduction, seq: np.ndarray, positions: np.ndarray) ->
     return _Screen(seq, sides, origins, valid, skipped, vmin, vmax, floor, qmin, qmax, whole)
 
 
-def _screened_reduce(wg, mode, red: Reduction, threads: int) -> ReductionResult:
+def _screened_reduce(wg, mode, red: Reduction) -> ReductionResult:
     """Screen the family chunk by chunk with range-threshold estimates and
     run the window kernel on the cubes the screen leaves open.
 
@@ -335,33 +321,17 @@ def _screened_reduce(wg, mode, red: Reduction, threads: int) -> ReductionResult:
     the true extremum, so the first cube attaining it is always refined;
     chunks are refined in order, so ties keep the first cube.
     """
-    if mode.tag == "all":
-        total = int(family_counts(wg.grid)[1][-1])
-        positions_of = lambda seq: seq  # noqa: E731  (canonical order is the seq)
-    else:
-        drawn = sample_positions(wg.grid, mode)
-        total = len(drawn)
-        positions_of = lambda seq: drawn[seq]  # noqa: E731
-
-    def screen(lo):
-        seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
-        return _screen_chunk(wg, red, seq, positions_of(seq))
-
-    def screens():
-        starts = range(0, total, _CHUNK_CUBES)
-        if threads <= 1:
-            yield from map(screen, starts)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i in range(0, len(starts), threads):
-                yield from pool.map(screen, starts[i : i + threads])
+    drawn = sample_positions(wg.grid, mode) if mode.tag == "sample" else None
+    total = int(family_counts(wg.grid)[1][-1]) if drawn is None else len(drawn)
 
     better = np.greater if red.maximize else np.less
     asked = Counter()
     best = breach = bound = None
     holds = True
     skipped = 0
-    for sc in screens():
+    for lo in range(0, total, _CHUNK_CUBES):
+        seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
+        sc = _screen_chunk(wg, red, seq, seq if drawn is None else drawn[seq])
         skipped += sc.skipped
         valid = sc.valid
         if valid.any():

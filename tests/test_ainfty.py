@@ -19,7 +19,7 @@ from oscgrid import (
     verify_gr_to_ainfty,
 )
 
-from conftest import random_float_grid
+from conftest import random_float_grid, random_integer_grid
 from reference import naive_alpha_profile
 
 ALL = EnumerationMode.all()
@@ -94,6 +94,15 @@ def test_alpha_profile_matches_naive():
         got = alpha_profile(wg, 0.37, ALL)
         ref = naive_alpha_profile(wg, 0.37, ALL)
         assert got[0] == ref[0] and got[1] == ref[1]
+
+
+def test_alpha_profile_matches_naive_4d_dyadic():
+    rng = np.random.default_rng(22)
+    dyadic = EnumerationMode.dyadic()
+    for _ in range(3):
+        wg = random_integer_grid(rng, (4, 4, 4, 4))
+        for beta in (0.2, 0.37, 0.9):
+            assert alpha_profile(wg, beta, dyadic) == naive_alpha_profile(wg, beta, dyadic)
 
 
 def test_forward_params_paper_constants():

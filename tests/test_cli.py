@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from oscgrid import EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent
 from oscgrid.cli import main
+from oscgrid.wgrid_io import save_wgrid
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +246,39 @@ def test_threads_must_be_positive(tmp_path, capsys, count):
     assert code == 2
     assert out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["theorem1", "--direction", "fwd", "--epsilon", "0.5", "--lambda", "1"],
+    ["theorem1", "--direction", "rev", "--alpha", "0.1", "--beta", "0.5"],
+])
+def test_overflowing_grid_sums_are_a_domain_error(tmp_path, capsys, argv):
+    # Sum w*v is about 3.6e310: every measured constant would be nan or inf
+    path = tmp_path / "huge.json"
+    values = [k * 1e299 for k in range(1, 9)]
+    path.write_text(json.dumps({"dim": 1, "shape": [8], "weights": [1e10] * 8, "values": values}))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid totals overflow float64") and err.count("\n") == 1
+
+
+def test_theorem2_names_the_family_a_covering_cube_is_missing_from(tmp_path, capsys):
+    # the dyadic epsilon does not bound osc/mean on the concentric covering cubes
+    values = np.exp(0.3 * np.random.default_rng(2).standard_normal(16))
+    wg = WeightedGrid(Grid((16,)), np.full(16, 1 / 16), values)
+    path = str(tmp_path / "g.json")
+    save_wgrid(wg, path)
+    eps = gr_epsilon(wg, EnumerationMode.dyadic()).epsilon
+    assert round(eps, 5) == 0.29521
+    lam, rho, _ = optimize_rh_exponent(eps)
+    code, out, err = run_cli(capsys, "theorem2", path, "--mode", "dyadic", "--epsilon",
+                             repr(eps), "--lambda", repr(lam), "--rho", repr(rho),
+                             "--t", repr(rho * wg.total_mass))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "on covering cube Cube(origin=(2,), side=5): osc/mean = 0.358287" in err
+    assert "the largest over the 4 covering cubes" in err and "is 0.358287" in err
+    assert "measured over the dyadic family, which does not contain the covering cubes" in err

@@ -17,7 +17,6 @@ from oscgrid import (
     save_wgrid,
     validate,
 )
-from oscgrid.grids import family_size
 
 from conftest import random_integer_grid
 from reference import naive_cube_mass
@@ -60,7 +59,6 @@ def test_enumeration_count_2d_all():
     expected = sum((4 - s + 1) ** 2 for s in range(1, 5))
     assert expected == 30
     assert len(list(enumerate_cubes(grid, EnumerationMode.all()))) == 30
-    assert family_size(grid, EnumerationMode.all()) == 30
 
 
 def test_enumeration_canonical_order():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,31 @@ def test_optimizer_dominates_hand_picked():
             lam = float(rng.uniform(eps + 1e-6, 2 - 1e-9))
             rho = float(rng.uniform(1e-9, (1 - lam / 2) * (1 - 1e-9)))
             assert p_star >= rh_exponent_bound(eps, lam, rho, 1.0) - 1e-9
+
+
+def test_lambda_star_closed_form():
+    # c = 1 - delta -> 1: the root of lambda^2 + 4*lambda - 8 = 0
+    lam, _, _ = optimize_rh_exponent(1.0, delta=1e-15)
+    assert lam == pytest.approx(2 * np.sqrt(3) - 2, rel=1e-14)
+    for delta in (1e-9, 1e-6, 0.1, 0.5, 0.999):
+        c = Fraction(1.0 - delta)
+        for eps in (1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99):
+            lam, rho, _ = optimize_rh_exponent(eps, 1.0, delta)
+            # the exact residual of (2-c)x^2 + 4cx - 4(c+eps) at the float
+            # lambda, against its slope times one ulp of lambda
+            x = Fraction(lam)
+            residual = (2 - c) * x * x + 4 * c * x - 4 * (c + Fraction(eps))
+            slope = 2 * (2 - c) * x + 4 * c
+            assert abs(residual) <= 4 * slope * Fraction(np.spacing(lam))
+            assert optimize_rh_exponent(eps, 3.0, delta)[:2] == (lam, rho)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 2 - 1e-12])
+def test_lambda_star_stays_inside_the_open_interval(eps):
+    for delta in (1e-9, 1e-6, 0.5):
+        lam, rho, p = optimize_rh_exponent(eps, 1.0, delta)
+        assert eps < lam < 2
+        assert rho > 0 and p >= 1
 
 
 def test_optimizer_collapses_near_two():

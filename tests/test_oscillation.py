@@ -179,13 +179,14 @@ def test_gr_epsilon_matches_naive_small():
         assert res.witness == wit_ref
 
 
-def test_gr_epsilon_thread_count_invariant():
-    rng = np.random.default_rng(10)
-    wg = random_float_grid(rng, (64,), log_sigma=1.0)
-    serial = gr_epsilon(wg, ALL, threads=1)
-    parallel = gr_epsilon(wg, ALL, threads=4)
-    assert serial.epsilon == parallel.epsilon
-    assert serial.witness == parallel.witness
+def test_gr_epsilon_matches_naive_4d_dyadic():
+    # the window gather is one sliding-window view in every dimension
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        wg = random_integer_grid(rng, (4, 4, 4, 4))
+        res = gr_epsilon(wg, EnumerationMode.dyadic())
+        assert (res.epsilon, res.witness) == naive_gr_epsilon(wg, EnumerationMode.dyadic())
+        assert res.cubes_scanned == 256 + 16 + 1
 
 
 def test_gr_epsilon_dyadic_and_sample_modes():

@@ -10,6 +10,7 @@ import pytest
 
 from oscgrid import (
     Cube,
+    DomainError,
     GenSpec,
     EnumerationMode,
     Grid,
@@ -101,7 +102,7 @@ def test_kernel_rows_do_not_depend_on_the_batch():
         assert np.array_equal(scan._window_masses(wg, side), passed)
 
 
-def outcomes(wg, mode, threads):
+def outcomes(wg, mode):
     """Every screened entry point on one grid, as comparable values."""
     def attempt(fn):
         try:
@@ -109,17 +110,17 @@ def outcomes(wg, mode, threads):
         except Exception as exc:  # the exception and its witness are results too
             return (type(exc).__name__, str(exc), getattr(exc, "witness", None))
 
-    eps = gr_epsilon(wg, mode, threads=threads)
+    eps = gr_epsilon(wg, mode)
     out = [eps]
     for beta in (0.1, 0.5, 0.9):
-        out.append(attempt(lambda: alpha_profile(wg, beta, mode, threads=threads)))
+        out.append(attempt(lambda: alpha_profile(wg, beta, mode)))
     for lam in (1.0, 1.9):
         epsilon = max(eps.epsilon, 1e-3)
-        out.append(attempt(lambda: verify_gr_to_ainfty(wg, epsilon, lam, mode, threads=threads)))
+        out.append(attempt(lambda: verify_gr_to_ainfty(wg, epsilon, lam, mode)))
     half = out[2][0] / 2 if isinstance(out[2][0], float) and out[2][0] > 0 else 0.25
     for alpha in (half, 0.6):
         params = LevelParams(alpha, 0.5)
-        out.append(attempt(lambda: verify_ainfty_to_gr(wg, params, mode, threads=threads)))
+        out.append(attempt(lambda: verify_ainfty_to_gr(wg, params, mode)))
     return out
 
 
@@ -129,20 +130,15 @@ CASES = [(wg, mode) for wg in hard_grids(3, 24, max_n=48) for mode in MODES]
 @pytest.fixture(scope="module")
 def full_kernel_scan():
     """The outcomes of CASES with every cube of every family through the kernel."""
-    def full_scan(wg, mode, red, threads=1):
-        scan.warm_tables(wg)
-        return scan._kernel_reduce(wg, mode, red, threads)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scan, "reduce_family", full_scan)
-        return [outcomes(wg, mode, 1) for wg, mode in CASES]
+        patch.setattr(scan, "reduce_family", scan._kernel_reduce)
+        return [outcomes(wg, mode) for wg, mode in CASES]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("chunk", [1 << 13, 61])
-def test_screened_equals_full_kernel_scan(monkeypatch, full_kernel_scan, threads, chunk):
+def test_screened_equals_full_kernel_scan(monkeypatch, full_kernel_scan, chunk):
     monkeypatch.setattr(scan, "_CHUNK_CUBES", chunk)
-    assert [outcomes(wg, mode, threads) for wg, mode in CASES] == full_kernel_scan
+    assert [outcomes(wg, mode) for wg, mode in CASES] == full_kernel_scan
 
 
 def test_holds_decided_by_the_kernel_at_an_exact_floor():
@@ -151,7 +147,7 @@ def test_holds_decided_by_the_kernel_at_an_exact_floor():
 
     def both_paths(wg, mode, red):
         screened = scan.reduce_family(wg, mode, red)
-        assert screened == scan._kernel_reduce(wg, mode, red, 1)
+        assert screened == scan._kernel_reduce(wg, mode, red)
         return screened.holds
 
     for wg in hard_grids(5, 12, max_n=40):
@@ -200,8 +196,10 @@ def test_family_cubes_decode_the_canonical_order():
 
 
 def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
-    # Sum w*v overflows float64, so no estimate could carry a finite radius
-    wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e299, 1e300, 8))
+    # Sum w*v is finite, but 64 times it is not, so no estimate could carry
+    # a finite radius
+    wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e296, 1e297, 8))
+    assert np.isfinite(2 * np.sum(wg.weights * wg.values))
     with np.errstate(all="ignore"):
         assert not wg.threshold_index.finite
 
@@ -209,5 +207,8 @@ def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
         raise AssertionError("screened an overflowing grid")
 
     monkeypatch.setattr(scan, "_screened_reduce", unused)
-    with np.errstate(all="ignore"):
-        assert gr_epsilon(wg, EnumerationMode.all()).cubes_scanned == 36
+    assert gr_epsilon(wg, EnumerationMode.all()).cubes_scanned == 36
+    # where Sum w*v itself overflows, no cube sum can be trusted
+    wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e299, 8e299, 8))
+    with pytest.raises(DomainError, match="overflow"):
+        gr_epsilon(wg, EnumerationMode.all())
