@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,23 +47,33 @@ def _dump_report(command: str, digest: str, mode, payload: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
         count = 0
     if count < 1:
-        raise argparse.ArgumentTypeError(f"need a positive thread count, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return count
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return tol
 
 
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", default="auto", help="all | dyadic | sample:COUNT:SEED")
     parser.add_argument(
-        "--threads", type=_thread_count, default=1, help="accepted for compatibility and ignored"
+        "--threads", type=_positive_int, default=1, help="accepted for compatibility and ignored"
     )
     parser.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
-    parser.add_argument("--tolerance", type=float, default=1e-12)
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-12)
 
 
 def _resolve_mode(text: str, grid) -> EnumerationMode:
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="epsilon, alpha profile, rearrangement")
     p_an.add_argument("input")
-    p_an.add_argument("--beta-grid", type=int, default=19)
+    p_an.add_argument("--beta-grid", type=_positive_int, default=19)
     _common_flags(p_an)
     p_an.set_defaults(fn=_cmd_analyze)
 

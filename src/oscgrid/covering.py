@@ -119,28 +119,24 @@ def build_covering(
         block = flat.reshape(wg.grid.shape)
         block[cube.slices()] = False
 
-    covered = not np.any(uncovered.reshape(wg.grid.shape) & ~_union_mask(cubes, wg.grid))
+    counts = _cover_counts(cubes, wg.grid)
     return CoveringResult(
         cubes=tuple(cubes),
         rho_lo=min(densities) if densities else None,
         rho_hi=max(densities) if densities else None,
-        overlap=overlap_constant(cubes, wg.grid),
-        covered=covered,
+        overlap=int(counts.max()) if cubes else 1,
+        covered=not np.any(uncovered & (counts == 0)),
     )
 
 
-def _union_mask(cubes: Sequence[Cube], grid: Grid) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
+def _cover_counts(cubes: Sequence[Cube], grid: Grid) -> np.ndarray:
+    """Number of cubes containing each cell."""
+    counts = np.zeros(grid.shape, dtype=np.int64)
     for cube in cubes:
-        mask[cube.slices()] = True
-    return mask
+        counts[cube.slices()] += 1
+    return counts
 
 
 def overlap_constant(cubes: Sequence[Cube], grid: Grid) -> int:
     """Exact max number of cubes containing any one cell; 1 for an empty family."""
-    if not cubes:
-        return 1
-    counts = np.zeros(grid.shape, dtype=np.int64)
-    for cube in cubes:
-        counts[cube.slices()] += 1
-    return int(counts.max())
+    return int(_cover_counts(cubes, grid).max()) if cubes else 1

@@ -341,37 +341,42 @@ def enumerate_cubes(grid: Grid, mode: EnumerationMode) -> Iterator[Cube]:
     lexicographic origin; sampled cubes come in draw order.  Two runs with
     identical inputs produce identical sequences.
     """
-    for side, origins, _ in iter_origin_batches(grid, mode):
-        for row in origins:
-            yield Cube(tuple(int(x) for x in row), side)
+    for _, sides, origins in iter_origin_batches(grid, mode):
+        for side, row in zip(sides.tolist(), origins.tolist()):
+            yield Cube(tuple(row), side)
+
+
+# cubes per decoded batch; a few MB of live temporaries
+_CHUNK_CUBES = 1 << 13
 
 
 def iter_origin_batches(
-    grid: Grid, mode: EnumerationMode
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Batched form of enumerate_cubes: (side, origins (k, dim), seq_start).
+    grid: Grid, mode: EnumerationMode, decode: bool = False
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Batched form of enumerate_cubes: (seq_start, sides (k,), origins (k, dim)).
 
     Batches partition the canonical sequence in order, which is what the
-    deterministic scan reductions rely on.
+    deterministic scan reductions rely on.  "all" and "dyadic" come one
+    batch per side, with `sides` a broadcast view of that side.  A sample,
+    and "all" when `decode` is set, comes in batches of _CHUNK_CUBES cubes
+    decoded from their positions in the canonical "all" order, so a batch
+    may mix sides; no array over the whole family is built.
     """
-    if mode.tag == "all":
-        if grid.dim > 3:
-            raise ConfigurationError("exhaustive enumeration is limited to dimensions 1..3")
-        seq = 0
-        for side in range(1, grid.min_side + 1):
-            origins = _lex_origins(grid.shape, side)
-            yield side, origins, seq
-            seq += origins.shape[0]
-    elif mode.tag == "dyadic":
-        seq = 0
-        for side in dyadic_sides(grid):
-            origins = _lex_origins(grid.shape, side, step=side)
-            yield side, origins, seq
-            seq += origins.shape[0]
-    else:
-        sides, origins = family_cubes(grid, sample_positions(grid, mode))
-        for seq in range(mode.count):
-            yield int(sides[seq]), origins[seq : seq + 1], seq
+    if mode.tag == "all" and grid.dim > 3:
+        raise ConfigurationError("exhaustive enumeration is limited to dimensions 1..3")
+    if mode.tag == "sample" or (decode and mode.tag == "all"):
+        drawn = sample_positions(grid, mode) if mode.tag == "sample" else None
+        total = int(family_counts(grid)[1][-1]) if drawn is None else len(drawn)
+        for lo in range(0, total, _CHUNK_CUBES):
+            seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
+            yield (lo, *family_cubes(grid, seq if drawn is None else drawn[seq]))
+        return
+    dyadic = mode.tag == "dyadic"
+    seq = 0
+    for side in dyadic_sides(grid) if dyadic else range(1, grid.min_side + 1):
+        origins = _lex_origins(grid.shape, side, step=side if dyadic else 1)
+        yield seq, np.broadcast_to(np.int64(side), origins.shape[0]), origins
+        seq += origins.shape[0]
 
 
 def sample_positions(grid: Grid, mode: EnumerationMode) -> np.ndarray:

@@ -302,17 +302,12 @@ def rh_constant(
         wvp_prefix = _prefix_table(wg.weights * wg.values**p)
     inv_p = 1.0 / p
 
-    def work(side, origins, seq_start):
-        mass, wv, means = scan.batch_mass_mean(wg, side, origins)
-        valid = (mass > 0) & (wv > 0)
+    def ratio(s: scan.CubeStats) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            psum = box_sums(wvp_prefix, origins, side)
-            ratio = np.where(valid, (psum / mass) ** inv_p / means, 0.0)
-        return scan.first_extremum(ratio, valid, side, origins, seq_start, maximize=True)
+            psum = box_sums(wvp_prefix, s.origins, s.sides)
+            return (psum / s.mass) ** inv_p / s.mean
 
-    best = scan.merge_candidates(
-        scan.map_batches(wg.grid, mode, work), maximize=True
-    )
+    best = scan.reduce_family(wg, mode, scan.Reduction(ratio, maximize=True)).best
     if best is None:
         raise DomainError("empty measure: no cube has positive mass and positive mean")
     if not math.isfinite(best.value):

@@ -11,7 +11,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from oscgrid import Cube, EnumerationMode, WeightedGrid, enumerate_cubes
+from oscgrid import Cube, EnumerationMode, Grid, WeightedGrid
+
+
+def naive_cubes(grid: Grid, mode: EnumerationMode) -> list[Cube]:
+    """The family of `mode` in canonical order, from plain nested loops:
+    ascending side, then lexicographic origin, in steps of the side for
+    dyadic cubes; a sample draws positions of the "all" order, uniformly
+    with replacement from the seeded generator, in draw order."""
+    if mode.tag == "sample":
+        family = naive_cubes(grid, EnumerationMode.all())
+        drawn = np.random.default_rng(mode.seed).integers(0, len(family), size=mode.count)
+        return [family[int(i)] for i in drawn]
+    dyadic = mode.tag == "dyadic"
+    if dyadic:
+        sides = [1 << k for k in range(grid.shape[0].bit_length())]
+    else:
+        sides = range(1, grid.min_side + 1)
+    cubes = []
+    for side in sides:
+        step = side if dyadic else 1
+        origins = [[]]
+        for n in grid.shape:  # the last axis varies fastest
+            origins = [o + [x] for o in origins for x in range(0, n - side + 1, step)]
+        cubes.extend(Cube(tuple(o), side) for o in origins)
+    return cubes
 
 
 def naive_cube_mass(wg: WeightedGrid, cube: Cube) -> float:
@@ -36,7 +60,7 @@ def _cube_stats(wg: WeightedGrid, cube: Cube):
 def naive_gr_epsilon(wg: WeightedGrid, mode: EnumerationMode):
     """(epsilon, witness): per-cube loops, first cube attaining the max."""
     best = None
-    for cube in enumerate_cubes(wg.grid, mode):
+    for cube in naive_cubes(wg.grid, mode):
         w, v, mass, wv, mean = _cube_stats(wg, cube)
         if mass <= 0:
             continue
@@ -50,7 +74,7 @@ def naive_gr_epsilon(wg: WeightedGrid, mode: EnumerationMode):
 
 def naive_alpha_profile(wg: WeightedGrid, beta: float, mode: EnumerationMode):
     best = None
-    for cube in enumerate_cubes(wg.grid, mode):
+    for cube in naive_cubes(wg.grid, mode):
         w, v, mass, wv, mean = _cube_stats(wg, cube)
         if mass <= 0 or wv <= 0:
             continue
@@ -64,7 +88,7 @@ def naive_alpha_profile(wg: WeightedGrid, beta: float, mode: EnumerationMode):
 
 def naive_rh_constant(wg: WeightedGrid, p: float, mode: EnumerationMode):
     best = None
-    for cube in enumerate_cubes(wg.grid, mode):
+    for cube in naive_cubes(wg.grid, mode):
         w, v, mass, wv, mean = _cube_stats(wg, cube)
         if mass <= 0 or wv <= 0:
             continue

@@ -13,14 +13,16 @@ from oscgrid import (
     alpha_profile,
     gr_epsilon,
     gr_to_ainfty_params,
+    rh_constant,
     level_fraction,
     roundtrip_epsilon,
     verify_ainfty_to_gr,
     verify_gr_to_ainfty,
 )
 
+from oscgrid import grids
 from conftest import random_float_grid, random_integer_grid
-from reference import naive_alpha_profile
+from reference import naive_alpha_profile, naive_cubes, naive_gr_epsilon, naive_rh_constant
 
 ALL = EnumerationMode.all()
 
@@ -103,6 +105,36 @@ def test_alpha_profile_matches_naive_4d_dyadic():
         wg = random_integer_grid(rng, (4, 4, 4, 4))
         for beta in (0.2, 0.37, 0.9):
             assert alpha_profile(wg, beta, dyadic) == naive_alpha_profile(wg, beta, dyadic)
+
+
+@pytest.mark.parametrize("chunk", [1 << 13, 29])
+def test_sampled_2d_3d_scans_batch_draws_by_side(monkeypatch, chunk):
+    # draws of every side share a batch; results and witnesses still follow
+    # draw order through repeated draws and tied values
+    monkeypatch.setattr(grids, "_CHUNK_CUBES", chunk)
+    rng = np.random.default_rng(23)
+    for shape in [(6, 5), (4, 3, 4)]:
+        mode = EnumerationMode.sample(300, seed=int(rng.integers(100)))
+        drawn = naive_cubes(Grid(shape), mode)
+        assert len(set(drawn)) < len(drawn) and len({c.side for c in drawn}) > 2
+        wg = random_integer_grid(rng, shape, max_weight=3, max_value=4)
+        eps = gr_epsilon(wg, mode)
+        assert (eps.epsilon, eps.witness) == naive_gr_epsilon(wg, mode)
+        for beta in (0.2, 0.5):
+            assert alpha_profile(wg, beta, mode) == naive_alpha_profile(wg, beta, mode)
+        assert rh_constant(wg, 2.0, mode) == naive_rh_constant(wg, 2.0, mode)
+
+        fractions = []  # (level fraction at beta 1/2, cube) of the valid draws
+        for cube in drawn:
+            w, v = wg.weights[cube.slices()].ravel(), wg.values[cube.slices()].ravel()
+            mass, wv = float(np.sum(w)), float(np.sum(w * v))
+            if mass > 0 and wv > 0:
+                fractions.append((float(np.sum(w * (v > 0.5 * (wv / mass)))) / mass, cube))
+        for alpha in sorted({f for f, _ in fractions})[:2]:
+            first = next(cube for f, cube in fractions if f <= alpha)
+            with pytest.raises(PreconditionError) as err:
+                verify_ainfty_to_gr(wg, LevelParams(alpha, 0.5), mode)
+            assert err.value.witness == first
 
 
 def test_forward_params_paper_constants():

@@ -282,3 +282,19 @@ def test_theorem2_names_the_family_a_covering_cube_is_missing_from(tmp_path, cap
     assert "on covering cube Cube(origin=(2,), side=5): osc/mean = 0.358287" in err
     assert "the largest over the 4 covering cubes" in err and "is 0.358287" in err
     assert "measured over the dyadic family, which does not contain the covering cubes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--beta-grid", "0"],
+    ["analyze", "--beta-grid", "-1"],
+    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "nan"],
+    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "inf"],
+    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "-1"],
+])
+def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv):
+    path = write_two_cell(tmp_path)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {argv[-2]}: " in errors[0]

@@ -22,8 +22,10 @@ from oscgrid import (
     verify_ainfty_to_gr,
     verify_gr_to_ainfty,
 )
-from oscgrid import scan
-from oscgrid.grids import enumerate_cubes, family_cubes, sample_positions
+from oscgrid import grids, scan
+from oscgrid.grids import enumerate_cubes, iter_origin_batches
+from oscgrid.rangesum import RangeThresholdIndex
+from reference import naive_cubes
 
 MODES = [EnumerationMode.all(), EnumerationMode.sample(150, seed=5)]
 
@@ -127,17 +129,21 @@ def outcomes(wg, mode):
 CASES = [(wg, mode) for wg in hard_grids(3, 24, max_n=48) for mode in MODES]
 
 
+def full_kernel(fn, *args):
+    """fn(*args) with the screen off: every cube of every family through the kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan, "_screen_index", lambda *_: None)
+        return fn(*args)
+
+
 @pytest.fixture(scope="module")
 def full_kernel_scan():
-    """The outcomes of CASES with every cube of every family through the kernel."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scan, "reduce_family", scan._kernel_reduce)
-        return [outcomes(wg, mode) for wg, mode in CASES]
+    return [full_kernel(outcomes, wg, mode) for wg, mode in CASES]
 
 
 @pytest.mark.parametrize("chunk", [1 << 13, 61])
 def test_screened_equals_full_kernel_scan(monkeypatch, full_kernel_scan, chunk):
-    monkeypatch.setattr(scan, "_CHUNK_CUBES", chunk)
+    monkeypatch.setattr(grids, "_CHUNK_CUBES", chunk)
     assert [outcomes(wg, mode) for wg, mode in CASES] == full_kernel_scan
 
 
@@ -147,7 +153,7 @@ def test_holds_decided_by_the_kernel_at_an_exact_floor():
 
     def both_paths(wg, mode, red):
         screened = scan.reduce_family(wg, mode, red)
-        assert screened == scan._kernel_reduce(wg, mode, red)
+        assert screened == full_kernel(scan.reduce_family, wg, mode, red)
         return screened.holds
 
     for wg in hard_grids(5, 12, max_n=40):
@@ -184,15 +190,24 @@ def test_screen_leaves_few_cubes_to_the_kernel(monkeypatch):
         assert sum(gathered) <= most
 
 
-def test_family_cubes_decode_the_canonical_order():
-    for shape in [(7,), (5, 4), (3, 4, 3)]:
+def test_family_cubes_decode_the_canonical_order(monkeypatch):
+    monkeypatch.setattr(grids, "_CHUNK_CUBES", 7)  # batches that straddle sides
+    for shape in [(7,), (8,), (5, 4), (4, 4), (3, 4, 3), (2, 2, 2, 2)]:
         grid = Grid(shape)
-        cubes = list(enumerate_cubes(grid, EnumerationMode.all()))
-        sides, origins = family_cubes(grid, np.arange(len(cubes)))
-        assert cubes == [Cube(tuple(o), s) for s, o in zip(sides, origins)]
-        mode = EnumerationMode.sample(50, seed=9)
-        drawn = list(enumerate_cubes(grid, mode))
-        assert drawn == [cubes[i] for i in sample_positions(grid, mode)]
+        modes = [EnumerationMode.sample(50, seed=9)]
+        if len(shape) <= 3:
+            modes.append(EnumerationMode.all())
+        if len(set(shape)) == 1 and shape[0] & (shape[0] - 1) == 0:
+            modes.append(EnumerationMode.dyadic())
+        for mode in modes:
+            expected = naive_cubes(grid, mode)
+            assert list(enumerate_cubes(grid, mode)) == expected
+            decoded = [
+                Cube(tuple(o), s)
+                for _, sides, origins in iter_origin_batches(grid, mode, decode=True)
+                for s, o in zip(sides.tolist(), origins.tolist())
+            ]
+            assert decoded == expected
 
 
 def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
@@ -206,7 +221,7 @@ def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
     def unused(*args):
         raise AssertionError("screened an overflowing grid")
 
-    monkeypatch.setattr(scan, "_screened_reduce", unused)
+    monkeypatch.setattr(RangeThresholdIndex, "upper_sums", unused)
     assert gr_epsilon(wg, EnumerationMode.all()).cubes_scanned == 36
     # where Sum w*v itself overflows, no cube sum can be trusted
     wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e299, 8e299, 8))
