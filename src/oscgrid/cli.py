@@ -67,19 +67,21 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _mode(text: str) -> EnumerationMode | None:
+    """None for "auto", the grid's default mode."""
+    try:
+        return None if text == "auto" else EnumerationMode.parse(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--mode", default="auto", help="all | dyadic | sample:COUNT:SEED")
+    parser.add_argument("--mode", type=_mode, help="auto | all | dyadic | sample:COUNT:SEED")
     parser.add_argument(
         "--threads", type=_positive_int, default=1, help="accepted for compatibility and ignored"
     )
     parser.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
     parser.add_argument("--tolerance", type=_tolerance, default=1e-12)
-
-
-def _resolve_mode(text: str, grid) -> EnumerationMode:
-    if text == "auto":
-        return default_mode(grid)
-    return EnumerationMode.parse(text)
 
 
 def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
@@ -93,7 +95,7 @@ def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
 
 def _cmd_analyze(args) -> int:
     wg = load_wgrid(args.input)
-    mode = _resolve_mode(args.mode, wg.grid)
+    mode = args.mode or default_mode(wg.grid)
     gr = gr_epsilon(wg, mode)
     betas = np.linspace(0.05, 0.95, args.beta_grid)
     profile = []
@@ -132,7 +134,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_theorem1(args) -> int:
     wg = load_wgrid(args.input)
-    mode = _resolve_mode(args.mode, wg.grid)
+    mode = args.mode or default_mode(wg.grid)
     if args.direction == "fwd":
         if args.epsilon is None or args.lam is None:
             raise ConfigurationError("forward direction needs --epsilon and --lambda")
@@ -162,7 +164,7 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_theorem2(args) -> int:
     wg = load_wgrid(args.input)
-    mode = _resolve_mode(args.mode, wg.grid)
+    mode = args.mode or default_mode(wg.grid)
     params = TailBoundParams(
         epsilon=args.epsilon, lam=args.lam, rho=args.rho, t_values=tuple(args.t)
     )
@@ -187,7 +189,7 @@ def _cmd_theorem2(args) -> int:
 
 def _cmd_rh(args) -> int:
     wg = load_wgrid(args.input)
-    mode = _resolve_mode(args.mode, wg.grid)
+    mode = args.mode or default_mode(wg.grid)
     payload: dict = {}
     if args.b_from_covering and not args.auto:
         raise ConfigurationError("--B-from-covering needs --auto")

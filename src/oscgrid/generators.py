@@ -27,13 +27,14 @@ standard_normal); identical specs produce bitwise-identical grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import EnumerationMode, Grid, WeightedGrid
+from .grids import EnumerationMode, Grid, WeightedGrid, validate
 from .oscillation import gr_epsilon
 
 __all__ = ["GenSpec", "generate", "measured_epsilon"]
@@ -65,8 +66,8 @@ class GenSpec:
                 measure_kind=obj.get("measure_kind", "uniform"),
                 measure_params=dict(obj.get("measure_params", {})),
             )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"generator spec missing field: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"generator spec missing or malformed field: {exc}") from exc
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +82,20 @@ class GenSpec:
 def _require(params: Mapping, name: str, context: str) -> float:
     if name not in params:
         raise ConfigurationError(f"{context} needs parameter {name!r}")
-    return params[name]
+    try:
+        value = float(params[name])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{context}: {name} must be a finite number, got {params[name]!r}")
+    return value
+
+
+def _rng(params: Mapping, context: str) -> np.random.Generator:
+    seed, raw = _require(params, "seed", context), params["seed"]
+    if seed < 0 or not seed.is_integer():
+        raise ConfigurationError(f"{context}: seed must be an integer >= 0, got {raw!r}")
+    return np.random.default_rng(int(raw) if isinstance(raw, int) else int(seed))
 
 
 def _position(params: Mapping, ncells: int, context: str) -> int:
@@ -97,7 +111,7 @@ def _values(spec: GenSpec, grid: Grid) -> np.ndarray:
     n = grid.ncells
     p = spec.kind_params
     if spec.kind == "power":
-        a = float(_require(p, "a", "power"))
+        a = _require(p, "a", "power")
         if not (0 < a < 1):
             raise ConfigurationError(f"power kind needs 0 < a < 1, got {a}")
         if grid.dim != 1:
@@ -106,25 +120,24 @@ def _values(spec: GenSpec, grid: Grid) -> np.ndarray:
         c = 1.0 - a
         return np.diff(edges**c) / (c / n)
     if spec.kind == "spike":
-        height = float(_require(p, "height", "spike"))
+        height = _require(p, "height", "spike")
         if height < 0:
             raise ConfigurationError("spike height must be nonnegative")
         out = np.zeros(n)
         out[_position(p, n, "spike")] = height
         return out
     if spec.kind == "two_level":
-        lo = float(_require(p, "lo", "two_level"))
-        hi = float(_require(p, "hi", "two_level"))
-        frac = float(_require(p, "fraction", "two_level"))
+        lo = _require(p, "lo", "two_level")
+        hi = _require(p, "hi", "two_level")
+        frac = _require(p, "fraction", "two_level")
         if lo < 0 or hi < 0 or not (0 <= frac <= 1):
             raise ConfigurationError("two_level needs lo, hi >= 0 and fraction in [0,1]")
         out = np.full(n, lo)
         out[: round(frac * n)] = hi
         return out
     if spec.kind == "random":
-        seed = int(_require(p, "seed", "random"))
-        sigma = float(_require(p, "log_sigma", "random"))
-        rng = np.random.default_rng(seed)
+        sigma = _require(p, "log_sigma", "random")
+        rng = _rng(p, "random")
         return np.exp(sigma * rng.standard_normal(n))
     raise ConfigurationError(f"unknown function kind {spec.kind!r}; expected one of {_KINDS}")
 
@@ -135,7 +148,7 @@ def _weights(spec: GenSpec, grid: Grid) -> np.ndarray:
     if spec.measure_kind == "uniform":
         return np.full(n, 1.0 / n)
     if spec.measure_kind == "power_weight":
-        b = float(_require(p, "b", "power_weight"))
+        b = _require(p, "b", "power_weight")
         if not b > -1:
             raise ConfigurationError(f"power_weight needs b > -1, got {b}")
         if grid.dim != 1:
@@ -143,16 +156,15 @@ def _weights(spec: GenSpec, grid: Grid) -> np.ndarray:
         edges = np.arange(n + 1, dtype=np.float64) / n
         return np.diff(edges ** (b + 1.0)) / (b + 1.0)
     if spec.measure_kind == "spike_weight":
-        mass = float(_require(p, "mass", "spike_weight"))
+        mass = _require(p, "mass", "spike_weight")
         if not mass > 0:
             raise ConfigurationError("spike_weight mass must be positive")
         out = np.full(n, 1.0 / n)
         out[_position(p, n, "spike_weight")] = mass
         return out
     if spec.measure_kind == "random_weight":
-        seed = int(_require(p, "seed", "random_weight"))
-        sigma = float(_require(p, "log_sigma", "random_weight"))
-        rng = np.random.default_rng(seed)
+        sigma = _require(p, "log_sigma", "random_weight")
+        rng = _rng(p, "random_weight")
         return np.exp(sigma * rng.standard_normal(n)) / n
     raise ConfigurationError(
         f"unknown measure kind {spec.measure_kind!r}; expected one of {_MEASURES}"
@@ -161,7 +173,12 @@ def _weights(spec: GenSpec, grid: Grid) -> np.ndarray:
 
 def generate(spec: GenSpec) -> WeightedGrid:
     grid = Grid(spec.shape)
-    return WeightedGrid(grid, _weights(spec, grid), _values(spec, grid))
+    with np.errstate(over="ignore"):  # a log-normal draw may overflow; validate refuses it
+        wg = WeightedGrid(grid, _weights(spec, grid), _values(spec, grid))
+    report = validate(wg)
+    if not report.ok:
+        raise ConfigurationError("generated grid is invalid: " + "; ".join(report.violations))
+    return wg
 
 
 def measured_epsilon(spec: GenSpec, mode: EnumerationMode | None = None) -> float:

@@ -116,8 +116,8 @@ class EnumerationMode:
         if self.tag not in self._TAGS:
             raise ConfigurationError(f"unknown enumeration mode {self.tag!r}")
         if self.tag == "sample":
-            if self.count is None or self.seed is None or int(self.count) < 1:
-                raise ConfigurationError("sample mode needs a positive count and a seed")
+            if None in (self.count, self.seed) or int(self.count) < 1 or int(self.seed) < 0:
+                raise ConfigurationError("sample mode needs a positive count and a seed >= 0")
             object.__setattr__(self, "count", int(self.count))
             object.__setattr__(self, "seed", int(self.seed))
 
@@ -232,7 +232,6 @@ class WeightedGrid:
         self._w_prefix: np.ndarray | None = None
         self._wv_prefix: np.ndarray | None = None
         self._threshold_index = None
-        self.window_masses: dict[int, np.ndarray] = {}  # side -> see scan._window_masses
 
     @property
     def w_prefix(self) -> np.ndarray:

@@ -40,7 +40,7 @@ over the enumerated family only; it certifies nothing beyond that family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,21 +156,7 @@ class TailCheck:
     degenerate: bool
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "fstar": self.fstar,
-            "fstarstar": self.fstarstar,
-            "k_nominal": self.k_nominal,
-            "k_achieved": self.k_achieved,
-            "mean_margin": self.mean_margin,
-            "osc_margin": self.osc_margin,
-            "rho_lo": self.rho_lo,
-            "rho_hi": self.rho_hi,
-            "overlap": self.overlap,
-            "n_cubes": self.n_cubes,
-            "holds": self.holds,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -295,8 +281,8 @@ def rh_constant(
     (Sum w*v^p / mu(Q))^(1/p) / mean(Q); always >= 1 by the power-mean
     inequality, with equality exactly for constant data.
     """
-    if not p > 1:
-        raise DomainError(f"exponent must satisfy p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise DomainError(f"exponent must be finite and satisfy p > 1, got {p}")
     mode = mode or default_mode(wg.grid)
     with np.errstate(over="ignore"):  # overflow shows up as a non-finite c_hat
         wvp_prefix = _prefix_table(wg.weights * wg.values**p)

@@ -18,15 +18,13 @@ in O(log N) per cube with a rigorous error radius.  There the screen is one
 step of the loop: only the cubes that could decide a result go through the
 kernel, whose per-row results do not depend on the batch around them, so
 every reported value, witness and flag is bit-identical to a full kernel
-scan.  Where many cubes lie within rounding of the extremum (every cell
-above a low threshold, so every level fraction is 1 up to rounding), their
-level sums come from a per-side table of the kernel's window masses
-instead.
+scan.  On both paths a cube whose every cell is above the level threshold
+(a whole cube: the kernel's mask, the screen's exact count) has level sum
+exactly its mass, so its level fraction is exactly 1.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,10 +42,6 @@ from .grids import (
 # cap on cells materialized per chunk; ~16 MB of float64 keeps the window
 # temporaries cache-friendly (measured 2x faster than 64 MB chunks)
 _CHUNK_CELLS = 1 << 21
-
-# cells per window copy when window masses are tabulated; 16 MB copies
-# measured 2.5 MB more peak RSS on N = 1024 than these 512 kB ones
-_MASS_CHUNK_CELLS = 1 << 16
 
 
 class Candidate(NamedTuple):
@@ -79,11 +73,14 @@ def batch_osc_level(
     origins: np.ndarray,
     means: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
+    masses: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-cube Sum w*|v - mean| and/or Sum w*[v > threshold] from one gather.
 
-    Either reduction may be switched off by passing None.  Rows are chunked
-    so at most _CHUNK_CELLS window cells are live at a time.
+    Either reduction may be switched off by passing None.  The level sum
+    needs the cubes' masses too: a cube whose every cell is above its
+    threshold has level sum exactly its mass.  Rows are chunked so at most
+    _CHUNK_CELLS window cells are live at a time.
     """
     k = origins.shape[0]
     cells = side ** wg.grid.dim
@@ -102,7 +99,7 @@ def batch_osc_level(
             osc[lo:hi] = dev.sum(axis=1)
         if lvl is not None:
             mask = v_win > thresholds[lo:hi, None]
-            lvl[lo:hi] = (w_win * mask).sum(axis=1)
+            lvl[lo:hi] = np.where(mask.all(axis=1), masses[lo:hi], (w_win * mask).sum(axis=1))
     return osc, lvl
 
 
@@ -184,7 +181,6 @@ def reduce_family(
         )
     index = _screen_index(wg, mode, red)
     better = np.greater if red.maximize else np.less
-    asked = Counter()
     best = breach = bound = None
     holds = True
     cubes = skipped = 0
@@ -208,7 +204,7 @@ def reduce_family(
             stats, whole = stats.take(rows), None if whole is None else whole[rows]
             extremum, below, maybe = extremum[rows], below[rows], maybe[rows]
 
-        stats = _kernel_at(wg, red, stats, whole, asked)
+        stats = _kernel_at(wg, red, stats, whole)
 
         def candidate(values, i):
             seq = seq_start + (i if rows is None else int(rows[i]))
@@ -261,8 +257,9 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, below, maybe, bound)
 
     `below` and `maybe` come in as the rows still open to those two checks
     (all valid rows, or none).  Returns the narrowed masks (extremum, below,
-    maybe), the cubes whose every cell is above the level threshold
-    (level-only reductions, else None), and the new bound.
+    maybe), the whole cubes (every cell above the level threshold, by the
+    exact count; None without a level), whose level sum is exactly their
+    mass, and the new bound.
     """
     lo = stats.origins[:, 0]
     hi = lo + stats.sides
@@ -273,8 +270,8 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, below, maybe, bound)
         osc = (est - rad, est + rad)
     if red.level is not None:
         est, rad, above = index.level_mass(lo, hi, red.level * stats.mean)
-        lvl = (est - rad, est + rad)
-        whole = None if red.osc else above == stats.sides
+        whole = above == stats.sides
+        lvl = (np.where(whole, stats.mass, est - rad), np.where(whole, stats.mass, est + rad))
     low = stats._replace(osc=osc[0], lvl=lvl[0])
     high = stats._replace(osc=osc[1], lvl=lvl[1])
     vmin, vmax = _bracket(red.value, low, high)
@@ -297,33 +294,24 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, below, maybe, bound)
     return extremum, below, maybe, whole, bound
 
 
-def _kernel_at(wg, red: Reduction, stats: CubeStats, whole, asked: Counter) -> CubeStats:
+def _kernel_at(wg, red: Reduction, stats: CubeStats, whole) -> CubeStats:
     """`stats` with the kernel sums the reduction asks for filled in.
 
     Each side's cubes form one batch, whose rows do not depend on the rest
-    of it.  A level sum over a cube whose cells are all above the threshold
-    (`whole`) is its window mass, the same at every threshold.  Once a
-    reduction has asked for half as many of those as the side has windows
-    (`asked` counts), the side's window masses are tabulated on the grid and
-    looked up: the kernel gathers values and weights for a cube, about twice
-    the work of copying the weights that tabulating a window takes.
+    of it.  A level-only reduction gathers no `whole` cube (see `_screen`):
+    its level sum is its mass.
     """
     if not red.osc and red.level is None:
         return stats
     osc = np.empty(len(stats.mass)) if red.osc else None
-    lvl = np.empty(len(stats.mass)) if red.level is not None else None
+    lvl = stats.mass.copy() if red.level is not None else None
+    gather = ~whole if whole is not None and not red.osc else True
     lo, hi = int(stats.sides.min()), int(stats.sides.max())
     for side in [lo] if lo == hi else np.unique(stats.sides).tolist():
-        if lo == hi and whole is None:
+        if lo == hi and gather is True:
             rows = slice(None)  # the whole batch, without copying it
         else:
-            rows = np.flatnonzero(stats.sides == side)
-        if whole is not None:
-            wholes = rows[whole[rows]]
-            asked[side] += len(wholes)
-            if side in wg.window_masses or 2 * asked[side] >= wg.grid.shape[0] - side + 1:
-                lvl[wholes] = _window_masses(wg, side)[stats.origins[wholes, 0]]
-                rows = rows[~whole[rows]]
+            rows = np.flatnonzero((stats.sides == side) & gather)
             if rows.size == 0:
                 continue
         part_osc, part_lvl = batch_osc_level(
@@ -332,25 +320,10 @@ def _kernel_at(wg, red: Reduction, stats: CubeStats, whole, asked: Counter) -> C
             stats.origins[rows],
             means=stats.mean[rows] if osc is not None else None,
             thresholds=red.level * stats.mean[rows] if lvl is not None else None,
+            masses=stats.mass[rows] if lvl is not None else None,
         )
         if osc is not None:
             osc[rows] = part_osc
         if lvl is not None:
             lvl[rows] = part_lvl
     return stats._replace(osc=osc, lvl=lvl)
-
-
-def _window_masses(wg: WeightedGrid, side: int) -> np.ndarray:
-    """The kernel's Sum w over every window of one side of a 1D grid, by
-    origin: its level sum at a threshold that every cell passes.  The rows
-    are the same C-contiguous float64 rows the kernel sums, without the
-    mask.  Built on first use and kept on the grid, since level reductions
-    of the same grid at other thresholds ask again."""
-    if side not in wg.window_masses:
-        windows = sliding_window_view(wg.weights, side)
-        masses = np.empty(windows.shape[0])
-        step = max(1, _MASS_CHUNK_CELLS // side)
-        for lo in range(0, len(masses), step):
-            masses[lo : lo + step] = np.ascontiguousarray(windows[lo : lo + step]).sum(axis=1)
-        wg.window_masses[side] = masses
-    return wg.window_masses[side]

@@ -20,7 +20,7 @@ from oscgrid import (
     verify_gr_to_ainfty,
 )
 
-from oscgrid import grids
+from oscgrid import grids, scan
 from conftest import random_float_grid, random_integer_grid
 from reference import naive_alpha_profile, naive_cubes, naive_gr_epsilon, naive_rh_constant
 
@@ -135,6 +135,29 @@ def test_sampled_2d_3d_scans_batch_draws_by_side(monkeypatch, chunk):
             with pytest.raises(PreconditionError) as err:
                 verify_ainfty_to_gr(wg, LevelParams(alpha, 0.5), mode)
             assert err.value.witness == first
+
+
+def test_whole_cubes_have_level_fraction_exactly_one(monkeypatch):
+    # values in [1, 2), so every cell of every cube is above 0.4 times its
+    # mean: every level fraction is exactly 1 and the first cube attains it,
+    # on the screened 1D path, the full kernel and 2D scans alike
+    rng = np.random.default_rng(0)
+    line = WeightedGrid(Grid((64,)), np.exp(rng.standard_normal(64)), 1 + rng.random(64))
+    square = WeightedGrid(
+        Grid((16, 16)), np.exp(rng.standard_normal((16, 16))), 1 + rng.random((16, 16))
+    )
+    sample = EnumerationMode.sample(200, seed=3)
+
+    def check(wg, mode):
+        expected = (1.0, naive_cubes(wg.grid, mode)[0])
+        assert alpha_profile(wg, 0.4, mode) == expected == naive_alpha_profile(wg, 0.4, mode)
+
+    for wg, mode in [(line, ALL), (line, sample), (square, EnumerationMode.dyadic()),
+                     (square, sample)]:
+        check(wg, mode)
+    monkeypatch.setattr(scan, "_screen_index", lambda *_: None)
+    for mode in (ALL, sample):
+        check(line, mode)
 
 
 def test_forward_params_paper_constants():

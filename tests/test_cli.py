@@ -148,8 +148,9 @@ def test_rh_two_cell(tmp_path, capsys):
 
 def test_rh_bad_p(tmp_path, capsys):
     path = write_two_cell(tmp_path)
-    code, _, _ = run_cli(capsys, "rh", path, "--p", "0.9")
-    assert code == 2
+    for p in ("0.9", "inf"):
+        code, _, _ = run_cli(capsys, "rh", path, "--p", p)
+        assert code == 2
 
 
 def test_rh_auto(tmp_path, capsys):
@@ -197,9 +198,16 @@ def test_generate_power_value(tmp_path, capsys):
 
 
 def test_generate_invalid_spec(tmp_path, capsys):
-    spec = json.dumps({"kind": "power", "shape": [4], "kind_params": {"a": 1.2}})
-    code, _, _ = run_cli(capsys, "generate", "--spec", spec, "--out", str(tmp_path / "x.json"))
-    assert code == 2
+    out_path = tmp_path / "x.json"
+    for kind, params in [
+        ("power", '{"a": 1.2}'),
+        ("random", '{"seed": 1, "log_sigma": "a"}'),
+        ("random", '{"seed": -1, "log_sigma": 1}'),
+        ("spike", '{"height": 1e400, "position": 0}'),
+    ]:
+        spec = f'{{"kind": "{kind}", "shape": [4], "kind_params": {params}}}'
+        code, _, _ = run_cli(capsys, "generate", "--spec", spec, "--out", str(out_path))
+        assert code == 2 and not out_path.exists()
 
 
 def test_reports_byte_stable(tmp_path, capsys):
@@ -290,6 +298,7 @@ def test_theorem2_names_the_family_a_covering_cube_is_missing_from(tmp_path, cap
     ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "nan"],
     ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "inf"],
     ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "-1"],
+    ["analyze", "--mode", "sample:5:-1"],
 ])
 def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv):
     path = write_two_cell(tmp_path)

@@ -59,15 +59,19 @@ def test_estimates_within_radius_of_kernel():
         for side in range(1, n + 1):
             origins = np.arange(n - side + 1)[:, None]
             lo, hi = origins[:, 0], origins[:, 0] + side
-            _, _, means = scan.batch_mass_mean(wg, side, origins)
+            mass, _, means = scan.batch_mass_mean(wg, side, origins)
             osc, _ = scan.batch_osc_level(wg, side, origins, means=means)
             est, rad = index.abs_deviation(lo, hi, means)
             assert np.all(np.abs(est - osc) <= rad)
             for beta in (0.05, 0.5, 0.95, 1.0):
                 thresholds = beta * means
-                _, lvl = scan.batch_osc_level(wg, side, origins, thresholds=thresholds)
+                _, lvl = scan.batch_osc_level(wg, side, origins, thresholds=thresholds,
+                                              masses=mass)
                 est, rad, above = index.level_mass(lo, hi, thresholds)
-                assert np.all(np.abs(est - lvl) <= rad)
+                # a whole cube's level sum is its mass; the rest are estimated
+                whole = above == side
+                assert np.array_equal(lvl[whole], mass[whole])
+                assert np.all(np.abs(est - lvl)[~whole] <= rad[~whole])
                 windows = np.lib.stride_tricks.sliding_window_view(wg.values, side)
                 assert np.array_equal(above, np.sum(windows > thresholds[:, None], axis=1))
 
@@ -93,15 +97,17 @@ def test_kernel_rows_do_not_depend_on_the_batch():
     wg = WeightedGrid(Grid((1024,)), *np.exp(2 * rng.standard_normal((2, 1024))))
     for side in (1, 7, 129, 300, 1000):
         origins = np.arange(1025 - side)[:, None]
-        _, _, means = scan.batch_mass_mean(wg, side, origins)
-        full = scan.batch_osc_level(wg, side, origins, means=means, thresholds=0.5 * means)
+        mass, _, means = scan.batch_mass_mean(wg, side, origins)
+        full = scan.batch_osc_level(wg, side, origins, means=means, thresholds=0.5 * means,
+                                    masses=mass)
         rows = np.sort(rng.choice(len(origins), size=min(5, len(origins)), replace=False))
         part = scan.batch_osc_level(wg, side, origins[rows], means=means[rows],
-                                    thresholds=0.5 * means[rows])
+                                    thresholds=0.5 * means[rows], masses=mass[rows])
         assert np.array_equal(full[0][rows], part[0]) and np.array_equal(full[1][rows], part[1])
-        # and a window's mass is its level sum at a threshold every cell passes
-        _, passed = scan.batch_osc_level(wg, side, origins, thresholds=np.full(len(origins), -np.inf))
-        assert np.array_equal(scan._window_masses(wg, side), passed)
+        # and the level sum at a threshold every cell passes is the prefix mass
+        _, passed = scan.batch_osc_level(wg, side, origins, thresholds=np.full(len(origins), -np.inf),
+                                         masses=mass)
+        assert np.array_equal(passed, mass)
 
 
 def outcomes(wg, mode):
