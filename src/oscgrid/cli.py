@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .ainfty import LevelParams, alpha_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
-from .covering import build_covering, cell_set
+from .covering import build_covering, cell_set, check_square
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
 from .grids import EnumerationMode, default_mode
@@ -193,6 +193,8 @@ def _cmd_rh(args) -> int:
     payload: dict = {}
     if args.b_from_covering and not args.auto:
         raise ConfigurationError("--B-from-covering needs --auto")
+    if args.b_from_covering:
+        check_square(wg.grid)
     if args.auto:
         gr = gr_epsilon(wg, mode)
         if gr.epsilon <= 0:

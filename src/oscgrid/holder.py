@@ -44,10 +44,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .covering import build_covering, cell_set
+from .covering import build_covering, cell_set, check_square
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, WeightedGrid, box_sums, default_mode, _prefix_table
-from .oscillation import gr_epsilon, oscillation
+from .oscillation import OscStats, gr_epsilon, oscillation
 from .rearrangement import average, evaluate, rearrangement
 from . import scan
 
@@ -201,7 +201,15 @@ def verify_rearrangement_bound(
     every covering cube, record the two per-cube margins, and assert
     fstarstar(t) <= K_achieved * fstar(t).  A zero fstar(t) (possible only
     for data vanishing mu-a.e.) is recorded as degenerate, not asserted.
+    The statistics of a cube that recurs in the coverings of several t are
+    computed once.  The grid shape and the t range are checked before the
+    epsilon scan.
     """
+    check_square(wg.grid)
+    total = wg.total_mass
+    for t in params.t_values:
+        if t > params.rho * total * (1 + 1e-12):
+            raise DomainError(f"t={t} exceeds rho * mu(Q_0) = {params.rho * total}")
     mode = mode or default_mode(wg.grid)
     measured = gr_epsilon(wg, mode)
     if measured.epsilon > params.epsilon:
@@ -210,15 +218,12 @@ def verify_rearrangement_bound(
             f"on cube {measured.witness}",
             witness=measured.witness,
         )
-    total = wg.total_mass
-    for t in params.t_values:
-        if t > params.rho * total * (1 + 1e-12):
-            raise DomainError(f"t={t} exceeds rho * mu(Q_0) = {params.rho * total}")
 
     sf = rearrangement(wg)
     eps, lam, rho = params.epsilon, params.lam, params.rho
     rho_cap = 1 - lam / 2
     checks = []
+    cube_stats: dict[Cube, OscStats] = {}  # covering cubes recur across t
     for t in params.t_values:
         fstar = float(evaluate(sf, t))
         fss = float(average(sf, t))
@@ -236,7 +241,11 @@ def verify_rearrangement_bound(
             continue
         target = cell_set(wg, wg.values > fstar)
         cover = build_covering(wg, target, rho=rho, rho_cap=rho_cap)
-        stats = [oscillation(wg, cube) for cube in cover.cubes]
+        stats = []
+        for cube in cover.cubes:
+            if cube not in cube_stats:
+                cube_stats[cube] = oscillation(wg, cube)
+            stats.append(cube_stats[cube])
         failed = [i for i, s in enumerate(stats) if s.osc > eps * s.mean * (1 + 1e-12)]
         if failed:
             ratios = [s.osc / s.mean for s in stats]

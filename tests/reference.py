@@ -4,14 +4,27 @@ Everything here recomputes results with plain per-cube loops and direct
 summation, no prefix tables and no shared scanning code, so agreement with
 the production scanners is evidence, not tautology.  Formulas mirror the
 documented production formulas so that on integer-representable inputs the
-float results are bit-identical.
+float results are bit-identical.  The one exception is naive_covering: it
+takes each candidate cube's masses from the production prefix tables, so
+that its densities equal build_covering's bit for bit, and is independent
+in its control flow (one seed and one ring at a time).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from oscgrid import Cube, EnumerationMode, Grid, WeightedGrid
+from oscgrid import (
+    ConfigurationError,
+    CoveringResult,
+    Cube,
+    DomainError,
+    EnumerationMode,
+    Grid,
+    PreconditionError,
+    WeightedGrid,
+)
+from oscgrid.grids import _prefix_table, box_sums
 
 
 def naive_cubes(grid: Grid, mode: EnumerationMode) -> list[Cube]:
@@ -151,3 +164,76 @@ def monotone_gr_epsilon_all(weights: np.ndarray, values: np.ndarray) -> float:
         if ratio.size:
             best = max(best, float(ratio.max()))
     return best
+
+
+def _grown_cube(seed: np.ndarray, ring: int, shape: np.ndarray) -> Cube:
+    """Concentric cube of ring radius `ring` around the seed, clipped to the
+    grid by sliding; always contains the seed."""
+    lo = np.maximum(seed - ring, 0)
+    hi = np.minimum(seed + ring + 1, shape)
+    side = int((hi - lo).min())
+    origin = np.minimum(np.maximum(seed - ring, 0), shape - side)
+    return Cube(tuple(int(o) for o in origin), side)
+
+
+def naive_covering(wg: WeightedGrid, target, rho: float, rho_cap: float):
+    """build_covering seed by seed and ring by ring, one box_sums pair per
+    candidate cube: (CoveringResult, the density of each emitted cube)."""
+    if not (0 < rho <= rho_cap < 1):
+        raise DomainError(f"need 0 < rho <= rho_cap < 1, got rho={rho} rho_cap={rho_cap}")
+    if not wg.grid.is_square():
+        raise ConfigurationError("covering construction needs an equal-sided grid")
+    total = wg.total_mass
+    if target.mass > rho * total * (1 + 1e-12):
+        raise PreconditionError(
+            f"target set mass {target.mass} exceeds rho * mu(Q_0) = {rho * total}"
+        )
+    shape = np.asarray(wg.grid.shape, dtype=np.int64)
+    n_max = int(shape[0])
+
+    e_prefix = _prefix_table(wg.weights * target.membership)
+    w_prefix = wg.w_prefix
+
+    uncovered = np.asarray(target.membership & (wg.weights > 0))
+    flat = uncovered.ravel().copy()
+    cubes: list[Cube] = []
+    densities: list[float] = []
+
+    while flat.any():
+        seed_flat = int(np.argmax(flat))
+        seed = np.asarray(np.unravel_index(seed_flat, wg.grid.shape), dtype=np.int64)
+        cube = None
+        for ring in range(n_max):
+            cand = _grown_cube(seed, ring, shape)
+            origins = np.asarray([cand.origin], dtype=np.int64)
+            mass = float(box_sums(w_prefix, origins, cand.side)[0])
+            inter = float(box_sums(e_prefix, origins, cand.side)[0])
+            if mass > 0 and inter / mass <= rho_cap:
+                cube = cand
+                densities.append(inter / mass)
+                break
+        if cube is None:
+            raise PreconditionError(
+                f"no cube around cell {tuple(int(s) for s in seed)} reaches density <= {rho_cap}"
+            )
+        cubes.append(cube)
+        block = flat.reshape(wg.grid.shape)
+        block[cube.slices()] = False
+
+    counts = naive_cover_counts(cubes, wg.grid)
+    result = CoveringResult(
+        cubes=tuple(cubes),
+        rho_lo=min(densities) if densities else None,
+        rho_hi=max(densities) if densities else None,
+        overlap=int(counts.max()) if cubes else 1,
+        covered=not np.any(uncovered & (counts == 0)),
+    )
+    return result, densities
+
+
+def naive_cover_counts(cubes, grid: Grid) -> np.ndarray:
+    """Number of cubes containing each cell, one slice increment per cube."""
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    for cube in cubes:
+        counts[cube.slices()] += 1
+    return counts

@@ -173,6 +173,28 @@ def test_rh_overlap_from_covering(tmp_path, capsys):
     assert code == 2 and "--auto" in err
 
 
+def test_covering_commands_reject_nonsquare_grid_before_the_epsilon_scan(
+    tmp_path, capsys, monkeypatch
+):
+    """Exit 2 for the shape, before the scan could end in exit 3: these
+    values are far outside GR(0.1)."""
+    def no_scan(*args):
+        raise AssertionError("the epsilon scan ran first")
+
+    monkeypatch.setattr("oscgrid.cli.gr_epsilon", no_scan)
+    monkeypatch.setattr("oscgrid.holder.gr_epsilon", no_scan)
+    path = tmp_path / "wide.json"
+    values = [0, 0, 0, 9, 0, 0, 0, 0]
+    path.write_text(json.dumps({"dim": 2, "shape": [2, 4], "weights": [1] * 8, "values": values}))
+    code, _, err = run_cli(capsys, "rh", str(path), "--auto", "--B-from-covering")
+    assert code == 2 and "equal-sided" in err
+    code, _, err = run_cli(
+        capsys, "theorem2", str(path), "--epsilon", "0.1", "--lambda", "1.5",
+        "--rho", "0.2", "--t", "0.1",
+    )
+    assert code == 2 and "equal-sided" in err
+
+
 def test_generate_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "spike.json"
     spec = json.dumps({"kind": "spike", "shape": [4], "kind_params": {"height": 1, "position": -1}})

@@ -12,7 +12,14 @@ from oscgrid import (
     overlap_constant,
 )
 
+from oscgrid import covering
+from oscgrid.covering import _cover_counts
+from oscgrid.grids import _prefix_table, box_sums
+
 from conftest import random_float_grid
+from reference import _grown_cube, naive_cover_counts, naive_covering
+
+SIDES = {1: (4, 40), 2: (3, 14), 3: (2, 7)}
 
 
 def uniform8():
@@ -126,3 +133,170 @@ def test_nonsquare_grid_rejected():
 
     with pytest.raises(ConfigurationError):
         build_covering(wg, cell_set(wg, np.zeros((4, 6), dtype=bool)), 0.2, 0.3)
+
+
+def _outcome(build, *args):
+    """What a covering construction returns, or the text of the
+    PreconditionError it raises."""
+    try:
+        return build(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _atom_grid(rng, shape):
+    """Log-normal weights with zero-weight cells and, most of the time, a
+    1e12 atom: strongly non-doubling, so one ring can overshoot the cap."""
+    w = np.exp(rng.standard_normal(shape))
+    w[rng.random(shape) < 0.1] = 0.0
+    for _ in range(int(rng.integers(0, 3))):
+        w[tuple(rng.integers(0, shape[0], size=len(shape)))] = 1e12
+    v = np.exp(rng.standard_normal(shape))
+    return WeightedGrid(Grid(shape), w, v)
+
+
+def _boundary_target(rng, wg, rho):
+    """E-cells drawn densely on the faces of the domain (where a ring is
+    clipped) and sparsely inside, trimmed at random, interior
+    cells first, until mu(E) <= rho * mu(Q_0)."""
+    shape = wg.grid.shape
+    coords = np.indices(shape)
+    on_face = np.any((coords == 0) | (coords == shape[0] - 1), axis=0)
+    member = np.where(on_face, rng.random(shape) < 0.4, rng.random(shape) < 0.15)
+    w = wg.weights
+    order = [tuple(c) for c in rng.permutation(np.argwhere(member & ~on_face))]
+    order += [tuple(c) for c in rng.permutation(np.argwhere(member & on_face))]
+    for cell in order:
+        if float(np.sum(w[member])) <= rho * wg.total_mass:
+            break
+        member[cell] = False
+    return cell_set(wg, member)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, covering._CHUNK])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_build_covering_equals_naive_oracle(dim, chunk, monkeypatch):
+    monkeypatch.setattr(covering, "_CHUNK", chunk)
+    rng = np.random.default_rng(40 + dim)
+    faces_hit = set()
+    cap_edges = 0
+    for _ in range(25):
+        shape = (int(rng.integers(*SIDES[dim])),) * dim
+        wg = _atom_grid(rng, shape)
+        rho = float(rng.uniform(0.05, 0.6))
+        rho_cap = float(rng.uniform(rho, 0.9))
+        target = _boundary_target(rng, wg, rho)
+        last = shape[0] - 1
+        for cell in np.argwhere(target.membership & (wg.weights > 0)):
+            faces_hit.update((axis, x == 0) for axis, x in enumerate(cell) if x in (0, last))
+        expected, densities = naive_covering(wg, target, rho, rho_cap)
+        result = build_covering(wg, target, rho, rho_cap)
+        assert result == expected
+        assert (result.rho_lo, result.rho_hi) == (
+            (min(densities), max(densities)) if densities else (None, None)
+        )
+        # rho_cap exactly at a density the first run achieved: the `<=` edge
+        edge = [d for d in densities if rho <= d < 1]
+        if edge:
+            at_edge = edge[int(rng.integers(0, len(edge)))]
+            expected, densities = naive_covering(wg, target, rho, at_edge)
+            assert build_covering(wg, target, rho, at_edge) == expected
+            cap_edges += at_edge in densities
+    assert faces_hit == {(axis, low) for axis in range(dim) for low in (True, False)}
+    assert cap_edges > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, covering._CHUNK])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_no_ring_reaches_the_cap_same_error(dim, chunk, monkeypatch):
+    """rho = rho_cap just below E's density, inside the 1e-12 slack of the
+    mass check: the full domain misses the cap, and so may every smaller
+    ring.  Both constructions stop at the same first failing seed."""
+    monkeypatch.setattr(covering, "_CHUNK", chunk)
+    rng = np.random.default_rng(50 + dim)
+    errors = 0
+    for _ in range(15):
+        n = int(rng.integers(*SIDES[dim]))
+        shape = (n,) * dim
+        wg = random_float_grid(rng, shape, log_sigma=1.0)
+        member = np.zeros(shape, dtype=bool)
+        for _ in range(int(rng.integers(1, 4))):
+            # corners and faces as often as the interior
+            member[tuple(rng.choice([0, n - 1, int(rng.integers(0, n))], size=dim))] = True
+        target = cell_set(wg, member)
+        rho = target.mass / wg.total_mass * (1 - 1e-13)
+        expected = _outcome(lambda *a: naive_covering(*a)[0], wg, target, rho, rho)
+        assert _outcome(build_covering, wg, target, rho, rho) == expected
+        if isinstance(expected, str):
+            assert "reaches density" in expected
+            errors += 1
+    assert errors > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cover_counts_equal_slice_loop(dim):
+    rng = np.random.default_rng(60 + dim)
+    for _ in range(30):
+        n = int(rng.integers(1, 12 if dim < 3 else 6))
+        grid = Grid((n,) * dim)
+        cubes = []
+        for _ in range(int(rng.integers(0, 12))):
+            side = int(rng.integers(1, n + 1))
+            cubes.append(Cube(tuple(int(o) for o in rng.integers(0, n - side + 1, size=dim)), side))
+        if cubes and rng.random() < 0.5:
+            cubes += cubes[: int(rng.integers(1, len(cubes) + 1))]  # repeated cubes
+        if rng.random() < 0.3:
+            cubes.append(Cube((0,) * dim, n))  # the full domain
+        counts = naive_cover_counts(cubes, grid)
+        np.testing.assert_array_equal(_cover_counts(cubes, grid), counts)
+        assert overlap_constant(cubes, grid) == (int(counts.max()) if cubes else 1)
+    for n in (1, 5):
+        grid = Grid((n,) * dim)
+        np.testing.assert_array_equal(_cover_counts([], grid), np.zeros(grid.shape))
+        assert overlap_constant([], grid) == 1
+
+
+def _first_cap_ring(wg, e_prefix, seed, rho_cap):
+    """Index of the first ring around `seed` whose cube meets the cap, one
+    ring at a time."""
+    shape = np.asarray(wg.grid.shape)
+    for ring in range(int(shape[0])):
+        cube = _grown_cube(np.asarray(seed), ring, shape)
+        origins = np.asarray([cube.origin])
+        mass = box_sums(wg.w_prefix, origins, cube.side)[0]
+        if mass > 0 and box_sums(e_prefix, origins, cube.side)[0] / mass <= rho_cap:
+            return ring
+    raise AssertionError(f"no ring around {seed}")
+
+
+@pytest.mark.parametrize("chunk", [64, covering._CHUNK])
+def test_box_sums_calls_are_per_ring_pass_not_per_seed(chunk, monkeypatch):
+    """Timing-free guard on a 64 x 64 grid: each chunk's ring search costs
+    at most two box_sums calls (mass and E-mass) per ring it needs."""
+    rng = np.random.default_rng(70)
+    wg = random_float_grid(rng, (64, 64), log_sigma=0.5)
+    target = cell_set(wg, rng.random((64, 64)) < 0.15)
+    rho = target.mass / wg.total_mass * 1.01
+    rho_cap = 0.4
+    passes = []
+    search, sums = covering._first_cap_rings, covering.box_sums
+
+    def logged_search(w_prefix, e_prefix, seeds, shape, cap):
+        passes.append([seeds.copy(), 0])
+        return search(w_prefix, e_prefix, seeds, shape, cap)
+
+    def counted_sums(*args):
+        passes[-1][1] += 1
+        return sums(*args)
+
+    monkeypatch.setattr(covering, "_CHUNK", chunk)
+    monkeypatch.setattr(covering, "_first_cap_rings", logged_search)
+    monkeypatch.setattr(covering, "box_sums", counted_sums)
+    result = build_covering(wg, target, rho, rho_cap)
+    if chunk == 64:
+        assert len(passes) > 1
+    e_prefix = _prefix_table(wg.weights * target.membership)
+    for seeds, calls in passes:
+        needed = max(_first_cap_ring(wg, e_prefix, s, rho_cap) for s in seeds.tolist())
+        assert calls <= 2 * (needed + 1)
+    assert sum(calls for _, calls in passes) < len(result.cubes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscgrid import (
+    ConfigurationError,
     Cube,
     DomainError,
     EnumerationMode,
@@ -11,14 +12,21 @@ from oscgrid import (
     Grid,
     TailBoundParams,
     WeightedGrid,
+    build_covering,
+    cell_set,
+    evaluate,
     generate,
     gr_epsilon,
     optimize_rh_exponent,
+    oscillation,
+    rearrangement,
     rearrangement_bound,
     rh_constant,
     rh_exponent_bound,
     verify_rearrangement_bound,
 )
+
+from oscgrid import holder
 
 from conftest import random_float_grid
 from reference import naive_rh_constant
@@ -237,3 +245,50 @@ def test_tail_params_validation():
         TailBoundParams(1.0, 1.5, 0.2, ())
     with pytest.raises(DomainError):
         TailBoundParams(1.0, 1.5, 0.2, (-0.1,))
+
+
+def test_each_distinct_covering_cube_is_rechecked_once(monkeypatch):
+    """Timing-free guard on a 64 x 64 grid: oscillation() runs once per
+    distinct covering cube across the t-values, and every t's margins equal
+    a fresh per-cube loop."""
+    rng = np.random.default_rng(80)
+    wg = random_float_grid(rng, (64, 64), log_sigma=0.1)
+    eps = 0.5
+    lam, rho, _ = optimize_rh_exponent(eps)
+    ts = tuple(k * rho * wg.total_mass / 20 for k in range(1, 7))
+    seen = []
+
+    def counted(wg_, cube):
+        seen.append(cube)
+        return oscillation(wg_, cube)
+
+    monkeypatch.setattr(holder, "oscillation", counted)
+    params = TailBoundParams(eps, lam, rho, ts)
+    report = verify_rearrangement_bound(wg, params, EnumerationMode.dyadic())
+    sf = rearrangement(wg)
+    coverings = []
+    for t, check in zip(ts, report.checks):
+        fstar = float(evaluate(sf, t))
+        cubes = build_covering(wg, cell_set(wg, wg.values > fstar), rho, 1 - lam / 2).cubes
+        stats = [oscillation(wg, cube) for cube in cubes]
+        assert check.mean_margin == min(lam / (lam - eps) * fstar - s.mean for s in stats)
+        assert check.osc_margin == min(eps * lam / (lam - eps) * fstar - s.osc for s in stats)
+        coverings.append(cubes)
+    distinct = set().union(*coverings)
+    assert len(seen) == len(set(seen)) == len(distinct)
+    assert set(seen) == distinct
+    assert len(seen) < sum(len(cubes) for cubes in coverings)
+
+
+def test_tail_bound_checks_shape_and_t_before_the_epsilon_scan(two_cell, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the epsilon scan ran first")
+
+    monkeypatch.setattr(holder, "gr_epsilon", no_scan)
+    wg = WeightedGrid(Grid((4, 6)), np.ones((4, 6)), np.ones((4, 6)))
+    params = TailBoundParams(epsilon=1.0, lam=1.5, rho=0.2, t_values=(0.1,))
+    with pytest.raises(ConfigurationError, match="equal-sided"):
+        verify_rearrangement_bound(wg, params, ALL)
+    params = TailBoundParams(epsilon=1.0, lam=1.5, rho=0.2, t_values=(0.1, 1.0))
+    with pytest.raises(DomainError, match="exceeds rho"):
+        verify_rearrangement_bound(two_cell, params, ALL)
