@@ -14,7 +14,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1]))
 
-from golden_pipelines import GOLDEN_DIR, PIPELINES, run_pipeline
+from golden_pipelines import (
+    GOLDEN_DIR,
+    PATH_GOLDEN_DIR,
+    PATH_PIPELINES,
+    PIPELINES,
+    run_path_pipeline,
+    run_pipeline,
+)
+
+
+def _write(target: Path, raw: bytes) -> None:
+    target.write_bytes(raw)
+    print(f"wrote {target} ({len(raw)} bytes)")
 
 
 def main():
@@ -22,9 +34,13 @@ def main():
         with tempfile.TemporaryDirectory() as workdir:
             outputs = run_pipeline(name, Path(workdir))
         for step, raw in outputs.items():
-            target = GOLDEN_DIR / f"{name}_{step}.json"
-            target.write_bytes(raw)
-            print(f"wrote {target} ({len(raw)} bytes)")
+            _write(GOLDEN_DIR / f"{name}_{step}.json", raw)
+    PATH_GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in PATH_PIPELINES:
+        with tempfile.TemporaryDirectory() as workdir:
+            outputs = run_path_pipeline(name, Path(workdir))
+        for key, raw in outputs.items():
+            _write(PATH_GOLDEN_DIR / f"{name}_{key}{'' if key.endswith('.csv') else '.json'}", raw)
 
 
 if __name__ == "__main__":
