@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, WeightedGrid, default_mode
-from .oscillation import _cube_moments, gr_epsilon
+from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
+from .oscillation import _cube_moments, require_gr
 from . import scan
 
 __all__ = [
@@ -52,7 +52,7 @@ DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class LevelParams:
+class LevelParams(Report):
     alpha: float
     beta: float
 
@@ -60,12 +60,9 @@ class LevelParams:
         if not (0 < self.alpha < 1 and 0 < self.beta < 1):
             raise DomainError(f"alpha and beta must lie in (0,1), got ({self.alpha}, {self.beta})")
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
 
 @dataclass(frozen=True)
-class MarginReport:
+class MarginReport(Report):
     """Worst-case margin of an inequality over a scanned family.
 
     worst_margin is the raw minimum of LHS - RHS; holds is true when every
@@ -80,17 +77,6 @@ class MarginReport:
     cubes_scanned: int
     skipped_zero_mean: int
     tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "worst_margin": self.worst_margin,
-            "witness": self.witness.to_json(),
-            "mode": self.mode.to_json(),
-            "holds": self.holds,
-            "cubes_scanned": self.cubes_scanned,
-            "skipped_zero_mean": self.skipped_zero_mean,
-            "tolerance": self.tolerance,
-        }
 
 
 def level_fraction(wg: WeightedGrid, cube: Cube, beta: float) -> float:
@@ -141,8 +127,6 @@ def alpha_profile(
     mode = mode or default_mode(wg.grid)
     red = scan.Reduction(_level_fraction, maximize=False, level=beta)
     best = scan.reduce_family(wg, mode, red).best
-    if best is None:
-        raise DomainError("empty measure: no cube has positive mass and positive mean")
     return best.value, best.cube
 
 
@@ -151,8 +135,6 @@ def _level_fraction(s: scan.CubeStats) -> np.ndarray:
 
 
 def _margin_report(res: scan.ReductionResult, mode: EnumerationMode, tol: float) -> MarginReport:
-    if res.best is None:
-        raise DomainError("empty measure: no cube has positive mass and positive mean")
     return MarginReport(
         worst_margin=res.best.value,
         witness=res.best.cube,
@@ -180,13 +162,7 @@ def verify_gr_to_ainfty(
     """
     _check_open_interval(epsilon, lam)
     mode = mode or default_mode(wg.grid)
-    measured = gr_epsilon(wg, mode)
-    if measured.epsilon > epsilon:
-        raise PreconditionError(
-            f"input not in GR({epsilon}): measured epsilon {measured.epsilon} "
-            f"on cube {measured.witness}",
-            witness=measured.witness,
-        )
+    require_gr(wg, epsilon, mode)
     beta = 1.0 - epsilon / lam
     alpha = 1.0 - lam / 2.0
     red = scan.Reduction(

@@ -21,11 +21,17 @@ import numpy as np
 
 from . import __version__
 from .ainfty import LevelParams, alpha_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
-from .covering import build_covering, cell_set, check_square
+from .covering import check_square
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
 from .grids import EnumerationMode, default_mode
-from .holder import TailBoundParams, optimize_rh_exponent, rh_constant, verify_rearrangement_bound
+from .holder import (
+    TailBoundParams,
+    optimize_rh_exponent,
+    rh_constant,
+    tail_covering,
+    verify_rearrangement_bound,
+)
 from .oscillation import gr_epsilon
 from .rearrangement import average, evaluate, rearrangement
 from .wgrid_io import file_digest, load_wgrid, save_wgrid
@@ -93,9 +99,7 @@ def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
     (out / name).write_text("\n".join(lines) + "\n")
 
 
-def _cmd_analyze(args) -> int:
-    wg = load_wgrid(args.input)
-    mode = args.mode or default_mode(wg.grid)
+def _cmd_analyze(args, wg, mode):
     gr = gr_epsilon(wg, mode)
     betas = np.linspace(0.05, 0.95, args.beta_grid)
     profile = []
@@ -109,14 +113,14 @@ def _cmd_analyze(args) -> int:
         "rearrangement": sf.to_json(),
         "conventions": {"zero_mass_cubes": "skipped", "zero_mean_cubes": "skipped"},
     }
-    _write_csv(args.plot_dir, "rearrangement.csv", "t,level", sf.csv_rows())
-    _write_csv(
-        args.plot_dir,
-        "alpha_profile.csv",
-        "beta,alpha_star",
-        [(row["beta"], row["alpha_star"]) for row in profile],
-    )
     if args.plot_dir is not None:
+        _write_csv(args.plot_dir, "rearrangement.csv", "t,level", sf.csv_rows())
+        _write_csv(
+            args.plot_dir,
+            "alpha_profile.csv",
+            "beta,alpha_star",
+            [(row["beta"], row["alpha_star"]) for row in profile],
+        )
         ts = np.linspace(sf.total_mass / 256, sf.total_mass, 256)
         _write_csv(
             args.plot_dir,
@@ -124,17 +128,11 @@ def _cmd_analyze(args) -> int:
             "t,fstar,fstarstar",
             zip(ts, np.atleast_1d(evaluate(sf, ts)), np.atleast_1d(average(sf, ts))),
         )
-    sys.stdout.write(_dump_report("analyze", file_digest(args.input), mode, payload))
-    print(
-        f"analyze: epsilon={gr.epsilon:.6g} over {gr.cubes_scanned} cubes ({mode.label()})",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    summary = f"analyze: epsilon={gr.epsilon:.6g} over {gr.cubes_scanned} cubes ({mode.label()})"
+    return payload, EXIT_OK, summary
 
 
-def _cmd_theorem1(args) -> int:
-    wg = load_wgrid(args.input)
-    mode = args.mode or default_mode(wg.grid)
+def _cmd_theorem1(args, wg, mode):
     if args.direction == "fwd":
         if args.epsilon is None or args.lam is None:
             raise ConfigurationError("forward direction needs --epsilon and --lambda")
@@ -153,43 +151,34 @@ def _cmd_theorem1(args) -> int:
         )
         payload = {"direction": "rev", "alpha": args.alpha, "beta": args.beta}
     payload["report"] = report.to_json()
-    sys.stdout.write(_dump_report("theorem1", file_digest(args.input), mode, payload))
-    print(
+    summary = (
         f"theorem1 {args.direction}: holds={report.holds} "
-        f"worst_margin={report.worst_margin:.6g}",
-        file=sys.stderr,
+        f"worst_margin={report.worst_margin:.6g}"
     )
-    return EXIT_OK if report.holds else EXIT_FAIL
+    return payload, EXIT_OK if report.holds else EXIT_FAIL, summary
 
 
-def _cmd_theorem2(args) -> int:
-    wg = load_wgrid(args.input)
-    mode = args.mode or default_mode(wg.grid)
+def _cmd_theorem2(args, wg, mode):
     params = TailBoundParams(
         epsilon=args.epsilon, lam=args.lam, rho=args.rho, t_values=tuple(args.t)
     )
     report = verify_rearrangement_bound(
         wg, params, mode, tol=args.tolerance
     )
-    payload = report.to_json()
     _write_csv(
         args.plot_dir,
         "tail_bound.csv",
         "t,fstar,fstarstar,k_achieved",
         [(c.t, c.fstar, c.fstarstar, c.k_achieved) for c in report.checks],
     )
-    sys.stdout.write(_dump_report("theorem2", file_digest(args.input), mode, payload))
-    print(
+    summary = (
         f"theorem2: holds={report.holds} at {len(report.checks)} t-values "
-        f"(measured epsilon {report.measured_epsilon:.6g})",
-        file=sys.stderr,
+        f"(measured epsilon {report.measured_epsilon:.6g})"
     )
-    return EXIT_OK if report.holds else EXIT_FAIL
+    return report.to_json(), EXIT_OK if report.holds else EXIT_FAIL, summary
 
 
-def _cmd_rh(args) -> int:
-    wg = load_wgrid(args.input)
-    mode = args.mode or default_mode(wg.grid)
+def _cmd_rh(args, wg, mode):
     payload: dict = {}
     if args.b_from_covering and not args.auto:
         raise ConfigurationError("--B-from-covering needs --auto")
@@ -221,24 +210,18 @@ def _cmd_rh(args) -> int:
     c_hat, witness = rh_constant(wg, p, mode)
     payload.update({"p": p, "c_hat": c_hat, "witness": witness.to_json()})
     _write_csv(args.plot_dir, "rh_constant.csv", "p,c_hat", [(p, c_hat)])
-    sys.stdout.write(_dump_report("rh", file_digest(args.input), mode, payload))
-    print(f"rh: c_hat={c_hat:.6g} at p={p:.6g}", file=sys.stderr)
-    return EXIT_OK
+    return payload, EXIT_OK, f"rh: c_hat={c_hat:.6g} at p={p:.6g}"
 
 
 def _measured_overlap(wg, epsilon: float, delta: float):
     """Overlap constant achieved by the covering construction at the
     optimizer's own parameter choice, fed back in place of the a-priori
-    bound.  One fixed-point step: optimize with overlap 1, build the
-    covering that the tail-bound verification would build at the resulting
-    (lambda, rho) and the largest admissible t, then report its overlap."""
+    bound.  One fixed-point step: optimize with overlap 1, then take the
+    overlap of tail_covering at that (lambda, rho) and t = rho * mu(Q_0)."""
     lam, rho, _ = optimize_rh_exponent(epsilon, overlap=1.0, delta=delta)
-    sf = rearrangement(wg)
-    t = rho * wg.total_mass
-    fstar = float(evaluate(sf, t))
-    if fstar == 0.0:
+    _, cover = tail_covering(wg, rearrangement(wg), rho * wg.total_mass, lam, rho)
+    if cover is None:
         return 1.0, {"rho_lo": None, "rho_hi": None, "overlap": 1, "n_cubes": 0}
-    cover = build_covering(wg, cell_set(wg, wg.values > fstar), rho=rho, rho_cap=1 - lam / 2)
     constants = {
         "rho_lo": cover.rho_lo,
         "rho_hi": cover.rho_hi,
@@ -315,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spec", required=True, help="JSON spec or @path to one")
     p_gen.add_argument("--out", required=True)
     _common_flags(p_gen)
-    p_gen.set_defaults(fn=_cmd_generate)
     return parser
 
 
@@ -326,7 +308,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        wg = load_wgrid(args.input)
+        mode = args.mode or default_mode(wg.grid)
+        payload, code, summary = args.fn(args, wg, mode)
+        sys.stdout.write(_dump_report(args.command, file_digest(args.input), mode, payload))
+        print(summary, file=sys.stderr)
+        return code
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

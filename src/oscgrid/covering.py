@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .grids import Cube, Grid, WeightedGrid, _prefix_table, box_sums
+from .grids import Cube, Grid, Report, WeightedGrid, _prefix_table, box_sums
 
 __all__ = ["CellSet", "CoveringResult", "cell_set", "build_covering", "overlap_constant"]
 
@@ -52,21 +52,12 @@ def cell_set(wg: WeightedGrid, membership: np.ndarray) -> CellSet:
 
 
 @dataclass(frozen=True)
-class CoveringResult:
+class CoveringResult(Report):
     cubes: tuple[Cube, ...]
     rho_lo: float | None
     rho_hi: float | None
     overlap: int
     covered: bool
-
-    def to_json(self) -> dict:
-        return {
-            "cubes": [c.to_json() for c in self.cubes],
-            "rho_lo": self.rho_lo,
-            "rho_hi": self.rho_hi,
-            "overlap": self.overlap,
-            "covered": self.covered,
-        }
 
 
 _CHUNK = 1024  # seeds whose rings are searched together

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import EnumerationMode, Grid, WeightedGrid, validate
+from .grids import EnumerationMode, Grid, Report, WeightedGrid, validate
 from .oscillation import gr_epsilon
 
 __all__ = ["GenSpec", "generate", "measured_epsilon"]
@@ -44,7 +44,7 @@ _MEASURES = ("uniform", "power_weight", "spike_weight", "random_weight")
 
 
 @dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Report):
     kind: str
     shape: tuple[int, ...]
     kind_params: Mapping[str, float] = field(default_factory=dict)
@@ -68,15 +68,6 @@ class GenSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"generator spec missing or malformed field: {exc}") from exc
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shape": list(self.shape),
-            "kind_params": dict(self.kind_params),
-            "measure_kind": self.measure_kind,
-            "measure_params": dict(self.measure_params),
-        }
 
 
 def _require(params: Mapping, name: str, context: str) -> float:

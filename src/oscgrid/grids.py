@@ -15,7 +15,7 @@ in the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
+    "Report",
     "Grid",
     "WeightedGrid",
     "Cube",
@@ -33,6 +34,27 @@ __all__ = [
     "cube_mass",
     "default_mode",
 ]
+
+
+class Report:
+    """Mixin for report dataclasses: `to_json` gives every field under its
+    own name.  Nested reports encode themselves, tuples and arrays become
+    lists, dicts are copied, and None stays null."""
+
+    def to_json(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+
+def _encode(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,7 +96,7 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class Cube:
+class Cube(Report):
     """Cell-aligned subcube: per-axis origin cell index and a common side in cells."""
 
     origin: tuple[int, ...]
@@ -92,12 +114,9 @@ class Cube:
             return False
         return all(0 <= o and o + self.side <= n for o, n in zip(self.origin, grid.shape))
 
-    def to_json(self) -> dict:
-        return {"origin": list(self.origin), "side": self.side}
-
 
 @dataclass(frozen=True)
-class EnumerationMode:
+class EnumerationMode(Report):
     """How the discrete quantifier "for any cube Q" is realized.
 
     all     -- every cell-aligned subcube (dims 1..3).
@@ -155,9 +174,7 @@ class EnumerationMode:
         return self.tag
 
     def to_json(self) -> dict:
-        if self.tag == "sample":
-            return {"tag": "sample", "count": self.count, "seed": self.seed}
-        return {"tag": self.tag}
+        return super().to_json() if self.tag == "sample" else {"tag": self.tag}
 
 
 def default_mode(grid: Grid) -> EnumerationMode:
@@ -260,12 +277,9 @@ class WeightedGrid:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     ok: bool
     violations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": list(self.violations)}
 
 
 _MAX_LISTED = 20

@@ -40,15 +40,16 @@ over the enumerated family only; it certifies nothing beyond that family.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import build_covering, cell_set, check_square
+from .ainfty import DEFAULT_TOL, _check_open_interval
+from .covering import CoveringResult, build_covering, cell_set, check_square
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, WeightedGrid, box_sums, default_mode, _prefix_table
-from .oscillation import OscStats, gr_epsilon, oscillation
-from .rearrangement import average, evaluate, rearrangement
+from .grids import Cube, EnumerationMode, Report, WeightedGrid, box_sums, default_mode, _prefix_table
+from .oscillation import OscStats, oscillation, require_gr
+from .rearrangement import StepFunction, average, evaluate, rearrangement
 from . import scan
 
 __all__ = [
@@ -58,16 +59,14 @@ __all__ = [
     "rearrangement_bound",
     "rh_exponent_bound",
     "optimize_rh_exponent",
+    "tail_covering",
     "verify_rearrangement_bound",
     "rh_constant",
 ]
 
-DEFAULT_TOL = 1e-12
-
 
 def _check_bound_params(epsilon: float, lam: float, rho: float, overlap: float):
-    if not (0 < epsilon < lam < 2):
-        raise DomainError(f"need 0 < epsilon < lambda < 2, got epsilon={epsilon} lambda={lam}")
+    _check_open_interval(epsilon, lam)
     if not (0 < rho < 1 - lam / 2):
         raise DomainError(f"need 0 < rho < 1 - lambda/2, got rho={rho} lambda={lam}")
     if not overlap >= 1:
@@ -137,7 +136,7 @@ class TailBoundParams:
 
 
 @dataclass(frozen=True)
-class TailCheck:
+class TailCheck(Report):
     """One t: rearrangement values, nominal and achieved constants, worst
     per-cube margins of the two covering-cube inequalities, and the verdict."""
 
@@ -155,12 +154,9 @@ class TailCheck:
     holds: bool
     degenerate: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class TailBoundReport:
+class TailBoundReport(Report):
     epsilon: float
     lam: float
     rho: float
@@ -170,21 +166,28 @@ class TailBoundReport:
     holds: bool
 
     def to_json(self) -> dict:
+        out = super().to_json()
+        out["lambda"], out["per_t"] = out.pop("lam"), out.pop("checks")
         worst = [c for c in self.checks if c.rho_lo is not None]
-        return {
-            "epsilon": self.epsilon,
-            "lambda": self.lam,
-            "rho": self.rho,
-            "measured_epsilon": self.measured_epsilon,
-            "mode": self.mode.to_json(),
-            "per_t": [c.to_json() for c in self.checks],
-            "covering_constants": {
-                "rho_lo": min((c.rho_lo for c in worst), default=None),
-                "rho_hi": max((c.rho_hi for c in worst), default=None),
-                "overlap": max((c.overlap for c in self.checks), default=1),
-            },
-            "holds": self.holds,
+        out["covering_constants"] = {
+            "rho_lo": min((c.rho_lo for c in worst), default=None),
+            "rho_hi": max((c.rho_hi for c in worst), default=None),
+            "overlap": max((c.overlap for c in self.checks), default=1),
         }
+        return out
+
+
+def tail_covering(
+    wg: WeightedGrid, sf: StepFunction, t: float, lam: float, rho: float
+) -> tuple[float, CoveringResult | None]:
+    """fstar(t) and the covering of E_t = {value > fstar(t)} with density cap
+    1 - lambda/2, None when fstar(t) is 0.  E_t is strict, matching the
+    right-continuous rearrangement, so mu(E_t) <= t holds with atoms."""
+    fstar = float(evaluate(sf, t))
+    if fstar == 0.0:
+        return fstar, None
+    target = cell_set(wg, wg.values > fstar)
+    return fstar, build_covering(wg, target, rho=rho, rho_cap=1 - lam / 2)
 
 
 def verify_rearrangement_bound(
@@ -195,10 +198,8 @@ def verify_rearrangement_bound(
 ) -> TailBoundReport:
     """Run the full average-vs-rearrangement verification at each t.
 
-    Per t: build E_t = {value > fstar(t)} (strict, matching the
-    right-continuous rearrangement so mu(E_t) <= t holds with atoms), cover
-    it with density cap 1 - lambda/2, re-check the oscillation inequality on
-    every covering cube, record the two per-cube margins, and assert
+    Per t: cover E_t (see tail_covering), re-check the oscillation
+    inequality on every covering cube, record the two per-cube margins, and assert
     fstarstar(t) <= K_achieved * fstar(t).  A zero fstar(t) (possible only
     for data vanishing mu-a.e.) is recorded as degenerate, not asserted.
     The statistics of a cube that recurs in the coverings of several t are
@@ -211,23 +212,16 @@ def verify_rearrangement_bound(
         if t > params.rho * total * (1 + 1e-12):
             raise DomainError(f"t={t} exceeds rho * mu(Q_0) = {params.rho * total}")
     mode = mode or default_mode(wg.grid)
-    measured = gr_epsilon(wg, mode)
-    if measured.epsilon > params.epsilon:
-        raise PreconditionError(
-            f"input not in GR({params.epsilon}): measured epsilon {measured.epsilon} "
-            f"on cube {measured.witness}",
-            witness=measured.witness,
-        )
+    measured = require_gr(wg, params.epsilon, mode)
 
     sf = rearrangement(wg)
     eps, lam, rho = params.epsilon, params.lam, params.rho
-    rho_cap = 1 - lam / 2
     checks = []
     cube_stats: dict[Cube, OscStats] = {}  # covering cubes recur across t
     for t in params.t_values:
-        fstar = float(evaluate(sf, t))
+        fstar, cover = tail_covering(wg, sf, t, lam, rho)
         fss = float(average(sf, t))
-        if fstar == 0.0:
+        if cover is None:
             checks.append(
                 TailCheck(
                     t=t, fstar=0.0, fstarstar=fss,
@@ -239,8 +233,6 @@ def verify_rearrangement_bound(
                 )
             )
             continue
-        target = cell_set(wg, wg.values > fstar)
-        cover = build_covering(wg, target, rho=rho, rho_cap=rho_cap)
         stats = []
         for cube in cover.cubes:
             if cube not in cube_stats:
@@ -303,8 +295,6 @@ def rh_constant(
             return (psum / s.mass) ** inv_p / s.mean
 
     best = scan.reduce_family(wg, mode, scan.Reduction(ratio, maximize=True)).best
-    if best is None:
-        raise DomainError("empty measure: no cube has positive mass and positive mean")
     if not math.isfinite(best.value):
         raise DomainError(
             f"c_hat is not finite at p={p}: Sum w*v^p overflows float64 on cube {best.cube}"

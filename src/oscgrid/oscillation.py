@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .grids import Cube, EnumerationMode, WeightedGrid, default_mode
+from .errors import DomainError, PreconditionError
+from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
 from . import scan
 
-__all__ = ["OscStats", "GRResult", "mean", "oscillation", "gr_epsilon"]
+__all__ = ["OscStats", "GRResult", "mean", "oscillation", "gr_epsilon", "require_gr"]
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,11 @@ class OscStats:
 
 
 @dataclass(frozen=True)
-class GRResult:
+class GRResult(Report):
     epsilon: float
     witness: Cube
     mode: EnumerationMode
     cubes_scanned: int
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "witness": self.witness.to_json(),
-            "mode": self.mode.to_json(),
-            "cubes_scanned": self.cubes_scanned,
-        }
 
 
 def _cube_moments(wg: WeightedGrid, cube: Cube):
@@ -109,11 +101,22 @@ def gr_epsilon(
     mode = mode or default_mode(wg.grid)
     red = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=False)
     res = scan.reduce_family(wg, mode, red)
-    if res.best is None:
-        raise DomainError("empty measure: no cube has positive mass")
     return GRResult(
         epsilon=res.best.value, witness=res.best.cube, mode=mode, cubes_scanned=res.cubes
     )
+
+
+def require_gr(wg: WeightedGrid, epsilon: float, mode: EnumerationMode | None = None) -> GRResult:
+    """gr_epsilon over the family, refusing data outside GR(epsilon): the
+    precondition of every verification that starts from GR(epsilon)."""
+    measured = gr_epsilon(wg, mode)
+    if measured.epsilon > epsilon:
+        raise PreconditionError(
+            f"input not in GR({epsilon}): measured epsilon {measured.epsilon} "
+            f"on cube {measured.witness}",
+            witness=measured.witness,
+        )
+    return measured
 
 
 def _gr_ratio(s: scan.CubeStats) -> np.ndarray:

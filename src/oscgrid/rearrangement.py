@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import WeightedGrid
+from .grids import Report, WeightedGrid
 
 __all__ = ["StepFunction", "rearrangement", "evaluate", "average", "tail_identity_parts"]
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Report):
     """Right-continuous non-increasing step function on (0, total_mass].
 
     levels[j] is the value on [breakpoints[j-1], breakpoints[j]) with
@@ -42,14 +42,7 @@ class StepFunction:
     total_mass: float
 
     def csv_rows(self) -> list[tuple[float, float]]:
-        return [(float(t), float(v)) for t, v in zip(self.breakpoints, self.levels)]
-
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [float(t) for t in self.breakpoints],
-            "levels": [float(v) for v in self.levels],
-            "total_mass": float(self.total_mass),
-        }
+        return list(zip(self.breakpoints.tolist(), self.levels.tolist()))
 
 
 def rearrangement(wg: WeightedGrid) -> StepFunction:

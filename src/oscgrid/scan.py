@@ -151,7 +151,7 @@ class Reduction(NamedTuple):
 
 
 class ReductionResult(NamedTuple):
-    best: Candidate | None  # None when no cube is valid
+    best: Candidate
     holds: bool
     cubes: int
     skipped_zero_mean: int  # positive-mass cubes left out by positive_mean
@@ -171,7 +171,7 @@ def reduce_family(
     "holds", or be the first breach) go through the window kernel: every
     valid row, unless the range-threshold screen rules some out.  Batches
     arrive in canonical order and a strictly-better rule keeps the first
-    cube on exact ties.
+    cube on exact ties.  A family with no valid cube is an empty measure.
     """
     with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
         totals = wg.total_mass, 2 * float(wg.wv_prefix[(-1,) * wg.grid.dim])
@@ -225,6 +225,9 @@ def reduce_family(
             hit = maybe & (q <= limit)
             if hit.any():  # always, when the screen saw a certain breach
                 breach = candidate(q, int(np.argmax(hit)))
+    if best is None:
+        suffix = " and positive mean" if red.positive_mean else ""
+        raise DomainError(f"empty measure: no cube has positive mass{suffix}")
     return ReductionResult(best, holds, cubes, skipped, breach)
 
 

@@ -6,8 +6,9 @@ The canonical "wgrid" format is JSON:
      "weights": [row-major reals], "values": [row-major reals]}
 
 A CSV alternative exists for 1D data: a header line followed by rows
-"index,weight,value".  Loaders reject NaN, infinities and negatives and
-name the offending field, so a file that loads is already valid.
+"index,weight,value".  Both loaders send weights and values through one
+check that rejects NaN, infinities, negatives and nested lists and names
+the offending field, so a file that loads is already valid.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:
         arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{field}: {exc}") from exc
-    if arr.ndim != 1 or arr.size != expected:
+    if arr.ndim != 1:
+        raise DataValidationError(f"{field}: expected a flat list of {expected} numbers")
+    if arr.size != expected:
         raise DataValidationError(f"{field}: expected {expected} entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise DataValidationError(f"{field}: NaN or infinity not allowed")
@@ -89,8 +92,8 @@ def _load_csv(path: Path) -> WeightedGrid:
     if not body:
         raise DataValidationError("csv: no data rows")
     n = len(body)
-    weights = np.full(n, np.nan)
-    values = np.full(n, np.nan)
+    weights, values = np.zeros(n), np.zeros(n)
+    seen = np.zeros(n, dtype=bool)  # n rows with distinct indices in range: all seen
     for row in body:
         if len(row) != 3:
             raise DataValidationError(f"csv: expected 3 columns, got {len(row)}")
@@ -102,19 +105,14 @@ def _load_csv(path: Path) -> WeightedGrid:
             raise DataValidationError(f"csv: {exc}") from exc
         if not 0 <= idx < n:
             raise DataValidationError(f"index: {idx} out of range for {n} rows")
-        if not np.isnan(weights[idx]):
+        if seen[idx]:
             raise DataValidationError(f"index: duplicate {idx}")
+        seen[idx] = True
         weights[idx] = w
         values[idx] = v
-    if np.any(np.isnan(weights)):
-        raise DataValidationError("index: missing rows")
-    if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(values)):
-        raise DataValidationError("csv: NaN or infinity not allowed")
-    if np.any(weights < 0):
-        raise DataValidationError("weight: negative entries not allowed")
-    if np.any(values < 0):
-        raise DataValidationError("value: negative entries not allowed")
-    return WeightedGrid(Grid((n,)), weights, values)
+    return WeightedGrid(
+        Grid((n,)), _parse_numbers(weights, "weights", n), _parse_numbers(values, "values", n)
+    )
 
 
 def save_wgrid(wg: WeightedGrid, path: str | Path) -> None:

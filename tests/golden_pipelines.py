@@ -116,7 +116,9 @@ def run_path_pipeline(name: str, workdir: Path) -> dict[str, bytes]:
     file it wrote under --plot-dir as "<step>_<file name>".
     """
     out: dict[str, bytes] = {}
-    with contextlib.chdir(workdir):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
         for step, argv in PATH_PIPELINES[name]:
             if argv[0] == "csv":
                 _write_csv_copy(Path(argv[1]), Path(argv[2]))
@@ -130,6 +132,8 @@ def run_path_pipeline(name: str, workdir: Path) -> dict[str, bytes]:
             plots = Path("plots") / step
             for csv_file in sorted(plots.glob("*.csv")) if plots.is_dir() else []:
                 out[f"{step}_{csv_file.name}"] = csv_file.read_bytes()
+    finally:
+        os.chdir(cwd)
     return out
 
 

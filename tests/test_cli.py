@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_covering_commands_reject_nonsquare_grid_before_the_epsilon_scan(
         raise AssertionError("the epsilon scan ran first")
 
     monkeypatch.setattr("oscgrid.cli.gr_epsilon", no_scan)
-    monkeypatch.setattr("oscgrid.holder.gr_epsilon", no_scan)
+    monkeypatch.setattr(importlib.import_module("oscgrid.oscillation"), "gr_epsilon", no_scan)
     path = tmp_path / "wide.json"
     values = [0, 0, 0, 9, 0, 0, 0, 0]
     path.write_text(json.dumps({"dim": 2, "shape": [2, 4], "weights": [1] * 8, "values": values}))

@@ -5,10 +5,15 @@ import pytest
 
 from oscgrid import (
     ConfigurationError,
+    CoveringResult,
     Cube,
     DataValidationError,
     EnumerationMode,
+    GenSpec,
     Grid,
+    LevelParams,
+    StepFunction,
+    ValidationReport,
     WeightedGrid,
     cube_mass,
     default_mode,
@@ -180,6 +185,7 @@ def test_wgrid_csv_load(tmp_path):
         (lambda o: o.pop("values"), "values: missing"),
         (lambda o: o.__setitem__("dim", "x"), "dim: invalid literal"),
         (lambda o: o.__setitem__("dim", 2), "dim: 2 does not match"),
+        (lambda o: o.__setitem__("weights", [[1.0], [2.0]]), "weights: expected a flat list of 2"),
     ],
 )
 def test_loader_rejections(tmp_path, mutate, field):
@@ -191,8 +197,63 @@ def test_loader_rejections(tmp_path, mutate, field):
         load_wgrid(path)
 
 
+def test_csv_nan_weight_is_named_not_reported_as_missing_rows(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("index,weight,value\n0,nan,1\n1,1,2\n")
+    with pytest.raises(DataValidationError, match="weights: NaN or infinity not allowed"):
+        load_wgrid(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,weight,value\n0,1,inf\n1,1,2\n", "values: NaN or infinity"),
+        ("index,weight,value\n0,-1,1\n1,1,2\n", "weights: negative"),
+        ("index,weight,value\n0,1,1\n0,1,2\n", "index: duplicate 0"),
+        ("index,weight,value\n0,1,1\n2,1,2\n", "index: 2 out of range"),
+    ],
+)
+def test_csv_loader_rejections(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataValidationError, match=message):
+        load_wgrid(path)
+
+
 def test_loader_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(DataValidationError, match="json"):
         load_wgrid(path)
+
+
+@pytest.mark.parametrize(
+    "report, expected",
+    [
+        (
+            CoveringResult((Cube((0, 1), 2), Cube((1, 0), 1)), 0.25, None, 2, True),
+            {"cubes": [{"origin": [0, 1], "side": 2}, {"origin": [1, 0], "side": 1}],
+             "rho_lo": 0.25, "rho_hi": None, "overlap": 2, "covered": True},
+        ),
+        (LevelParams(alpha=0.25, beta=0.5), {"alpha": 0.25, "beta": 0.5}),
+        (ValidationReport(False, ("a", "b")), {"ok": False, "violations": ["a", "b"]}),
+        (
+            GenSpec("spike", (4,), {"height": 1, "position": -1}),
+            {"kind": "spike", "shape": [4], "kind_params": {"height": 1, "position": -1},
+             "measure_kind": "uniform", "measure_params": {}},
+        ),
+        (
+            StepFunction(np.array([0.5, 2.0]), np.array([3.0, 1.0]), 2.0),
+            {"breakpoints": [0.5, 2.0], "levels": [3.0, 1.0], "total_mass": 2.0},
+        ),
+        (EnumerationMode.all(), {"tag": "all"}),
+        (EnumerationMode.dyadic(), {"tag": "dyadic"}),
+        (EnumerationMode.sample(5, 2), {"tag": "sample", "count": 5, "seed": 2}),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_report_encoding(report, expected):
+    encoded = report.to_json()
+    assert encoded == expected
+    assert json.dumps(encoded, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert all(type(x) is float for x in encoded.get("breakpoints", []) + encoded.get("levels", []))

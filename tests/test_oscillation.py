@@ -9,9 +9,11 @@ from oscgrid import (
     EnumerationMode,
     Grid,
     WeightedGrid,
+    alpha_profile,
     gr_epsilon,
     mean,
     oscillation,
+    rh_constant,
 )
 
 from conftest import random_float_grid, random_integer_grid
@@ -166,6 +168,10 @@ def test_gr_epsilon_empty_measure():
     wg = WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DomainError, match="empty measure"):
         gr_epsilon(wg, ALL)
+    zero_values = WeightedGrid(Grid((2,)), [1.0, 1.0], [0.0, 0.0])
+    for scan in (lambda: alpha_profile(zero_values, 0.5, ALL), lambda: rh_constant(zero_values, 2.0, ALL)):
+        with pytest.raises(DomainError, match="empty measure: .* and positive mean"):
+            scan()
 
 
 def test_gr_epsilon_matches_naive_small():
