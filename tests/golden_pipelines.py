@@ -45,7 +45,6 @@ PIPELINES = {
 }
 
 
-
 def _random_spec(shape, seed):
     return json.dumps({
         "kind": "random", "shape": list(shape), "kind_params": {"seed": seed, "log_sigma": 0.4},

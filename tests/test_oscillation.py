@@ -169,9 +169,9 @@ def test_gr_epsilon_empty_measure():
     with pytest.raises(DomainError, match="empty measure"):
         gr_epsilon(wg, ALL)
     zero_values = WeightedGrid(Grid((2,)), [1.0, 1.0], [0.0, 0.0])
-    for scan in (lambda: alpha_profile(zero_values, 0.5, ALL), lambda: rh_constant(zero_values, 2.0, ALL)):
+    for scan in (alpha_profile, rh_constant):
         with pytest.raises(DomainError, match="empty measure: .* and positive mean"):
-            scan()
+            scan(zero_values, 0.5 if scan is alpha_profile else 2.0, ALL)
 
 
 def test_gr_epsilon_matches_naive_small():
