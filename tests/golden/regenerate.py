@@ -5,7 +5,8 @@ Usage (from the repo root): PYTHONPATH=src python tests/golden/regenerate.py
 PYTHONPATH as above or as an installed package; the pipeline subprocesses
 run that same package.
 Only run this deliberately after an intended output-format change; the
-acceptance suite compares against these files byte for byte.
+acceptance suite (PIPELINES) and tests/test_golden_paths.py (PATH_PIPELINES,
+stored under tests/golden/paths/) compare against these files byte for byte.
 """
 
 import sys
