@@ -15,6 +15,7 @@ from .ainfty import (
     MarginReport,
     ainfty_to_gr_bound,
     alpha_profile,
+    epsilon_and_profile,
     gr_to_ainfty_params,
     level_fraction,
     roundtrip_epsilon,
@@ -59,7 +60,7 @@ __all__ = [
     "Grid", "WeightedGrid", "Cube", "EnumerationMode", "ValidationReport",
     "validate", "enumerate_cubes", "cube_mass", "default_mode",
     "OscStats", "GRResult", "mean", "oscillation", "gr_epsilon",
-    "LevelParams", "MarginReport", "level_fraction", "alpha_profile",
+    "LevelParams", "MarginReport", "level_fraction", "alpha_profile", "epsilon_and_profile",
     "gr_to_ainfty_params", "ainfty_to_gr_bound", "roundtrip_epsilon",
     "verify_gr_to_ainfty", "verify_ainfty_to_gr",
     "StepFunction", "rearrangement", "evaluate", "average",

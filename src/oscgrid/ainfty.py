@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
-from .oscillation import _cube_moments, require_gr
+from .oscillation import GR_RATIO, GRResult, _cube_moments, gr_result, require_gr
 from . import scan
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "MarginReport",
     "level_fraction",
     "alpha_profile",
+    "epsilon_and_profile",
     "gr_to_ainfty_params",
     "ainfty_to_gr_bound",
     "roundtrip_epsilon",
@@ -122,12 +123,25 @@ def alpha_profile(
     level_fraction over positive-mass, positive-mean cubes; (alpha, beta)
     is a valid strict certificate for every alpha < alpha_star.
     """
+    mode = mode or default_mode(wg.grid)
+    (res,) = scan.reduce_family(wg, mode, (_alpha_star(beta),))
+    return res.best.value, res.best.cube
+
+
+def epsilon_and_profile(
+    wg: WeightedGrid, betas, mode: EnumerationMode | None = None
+) -> tuple[GRResult, list[tuple[float, Cube]]]:
+    """gr_epsilon and alpha_profile at every beta, from one walk over the family."""
+    reds = tuple(_alpha_star(float(beta)) for beta in betas)
+    mode = mode or default_mode(wg.grid)
+    gr, *alphas = scan.reduce_family(wg, mode, (GR_RATIO, *reds))
+    return gr_result(gr, mode), [(res.best.value, res.best.cube) for res in alphas]
+
+
+def _alpha_star(beta: float) -> scan.Reduction:
     if not (0 < beta < 1):
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    mode = mode or default_mode(wg.grid)
-    red = scan.Reduction(_level_fraction, maximize=False, level=beta)
-    best = scan.reduce_family(wg, mode, red).best
-    return best.value, best.cube
+    return scan.Reduction(_level_fraction, maximize=False, level=beta)
 
 
 def _level_fraction(s: scan.CubeStats) -> np.ndarray:
@@ -155,14 +169,13 @@ def verify_gr_to_ainfty(
 ) -> MarginReport:
     """Check mu{f > (1 - eps/lambda) mean} >= (1 - lambda/2) mu(Q) on every cube.
 
-    Re-measures gr_epsilon first and refuses data outside GR(epsilon).  The
-    margin per cube is level-set mass minus (1 - lambda/2) mu(Q); given the
-    precondition it is nonnegative up to rounding, and holds applies the
-    -tol*mu(Q) noise floor per cube.
+    Measures gr_epsilon in the same walk and refuses data outside
+    GR(epsilon).  The margin per cube is level-set mass minus
+    (1 - lambda/2) mu(Q); given the precondition it is nonnegative up to
+    rounding, and holds applies the -tol*mu(Q) noise floor per cube.
     """
     _check_open_interval(epsilon, lam)
     mode = mode or default_mode(wg.grid)
-    require_gr(wg, epsilon, mode)
     beta = 1.0 - epsilon / lam
     alpha = 1.0 - lam / 2.0
     red = scan.Reduction(
@@ -171,7 +184,9 @@ def verify_gr_to_ainfty(
         level=beta,
         floor=lambda s: -tol * s.mass,
     )
-    return _margin_report(scan.reduce_family(wg, mode, red), mode, tol)
+    gr, res = scan.reduce_family(wg, mode, (GR_RATIO, red))
+    require_gr(gr_result(gr, mode), epsilon)
+    return _margin_report(res, mode, tol)
 
 
 def verify_ainfty_to_gr(
@@ -201,7 +216,7 @@ def verify_ainfty_to_gr(
         floor=lambda s: -tol * s.mean,
         breach=(_level_fraction, params.alpha),
     )
-    res = scan.reduce_family(wg, mode, red)
+    (res,) = scan.reduce_family(wg, mode, (red,))
     if res.breach is not None:
         raise PreconditionError(
             f"input not in A_inf(alpha={params.alpha}, beta={params.beta}): "

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ainfty import LevelParams, alpha_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
+from .ainfty import LevelParams, epsilon_and_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
 from .covering import check_square
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
@@ -100,12 +100,12 @@ def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
 
 
 def _cmd_analyze(args, wg, mode):
-    gr = gr_epsilon(wg, mode)
-    betas = np.linspace(0.05, 0.95, args.beta_grid)
-    profile = []
-    for beta in betas:
-        alpha_star, witness = alpha_profile(wg, float(beta), mode)
-        profile.append({"beta": float(beta), "alpha_star": alpha_star, "witness": witness.to_json()})
+    betas = np.linspace(0.05, 0.95, args.beta_grid).tolist()
+    gr, alphas = epsilon_and_profile(wg, betas, mode)
+    profile = [
+        {"beta": beta, "alpha_star": alpha_star, "witness": witness.to_json()}
+        for beta, (alpha_star, witness) in zip(betas, alphas)
+    ]
     sf = rearrangement(wg)
     payload = {
         "gr": gr.to_json(),
@@ -313,13 +313,13 @@ def main(argv=None) -> int:
         wg = load_wgrid(args.input)
         mode = args.mode or default_mode(wg.grid)
         payload, code, summary = args.fn(args, wg, mode)
-        sys.stdout.write(_dump_report(args.command, file_digest(args.input), mode, payload))
+        sys.stdout.write(_dump_report(args.command, wg.source_digest, mode, payload))
         print(summary, file=sys.stderr)
         return code
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConfigurationError, DataValidationError, DomainError, OSError) as exc:
+    except (ConfigurationError, DataValidationError, DomainError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -122,7 +122,8 @@ class EnumerationMode(Report):
     all     -- every cell-aligned subcube (dims 1..3).
     dyadic  -- every dyadic cube; needs an equal power-of-two shape.
     sample  -- `count` cubes drawn uniformly with replacement from the
-               "all" family, deterministic in `seed`.
+               "all" family, deterministic in `seed`; the draw is one array,
+               so `count` is at most MAX_SAMPLE.
     """
 
     tag: str
@@ -130,6 +131,7 @@ class EnumerationMode(Report):
     seed: int | None = None
 
     _TAGS = ("all", "dyadic", "sample")
+    MAX_SAMPLE = 1 << 24
 
     def __post_init__(self):
         if self.tag not in self._TAGS:
@@ -137,6 +139,8 @@ class EnumerationMode(Report):
         if self.tag == "sample":
             if None in (self.count, self.seed) or int(self.count) < 1 or int(self.seed) < 0:
                 raise ConfigurationError("sample mode needs a positive count and a seed >= 0")
+            if int(self.count) > self.MAX_SAMPLE:
+                raise ConfigurationError(f"sample count over the limit of {self.MAX_SAMPLE}")
             object.__setattr__(self, "count", int(self.count))
             object.__setattr__(self, "seed", int(self.seed))
 
@@ -163,9 +167,10 @@ class EnumerationMode(Report):
             if len(parts) != 3:
                 raise ConfigurationError("sample mode syntax is sample:COUNT:SEED")
             try:
-                return cls.sample(int(parts[1]), int(parts[2]))
+                count, seed = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ConfigurationError("sample mode syntax is sample:COUNT:SEED") from exc
+            return cls.sample(count, seed)
         raise ConfigurationError(f"unknown enumeration mode {text!r}")
 
     def label(self) -> str:
@@ -249,6 +254,7 @@ class WeightedGrid:
         self._w_prefix: np.ndarray | None = None
         self._wv_prefix: np.ndarray | None = None
         self._threshold_index = None
+        self.source_digest: str | None = None  # sha256 of the file it was loaded from
 
     @property
     def w_prefix(self) -> np.ndarray:

@@ -48,7 +48,7 @@ from .ainfty import DEFAULT_TOL, _check_open_interval
 from .covering import CoveringResult, build_covering, cell_set, check_square
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, Report, WeightedGrid, box_sums, default_mode, _prefix_table
-from .oscillation import OscStats, oscillation, require_gr
+from .oscillation import OscStats, gr_epsilon, oscillation, require_gr
 from .rearrangement import StepFunction, average, evaluate, rearrangement
 from . import scan
 
@@ -212,7 +212,7 @@ def verify_rearrangement_bound(
         if t > params.rho * total * (1 + 1e-12):
             raise DomainError(f"t={t} exceeds rho * mu(Q_0) = {params.rho * total}")
     mode = mode or default_mode(wg.grid)
-    measured = require_gr(wg, params.epsilon, mode)
+    measured = require_gr(gr_epsilon(wg, mode), params.epsilon)
 
     sf = rearrangement(wg)
     eps, lam, rho = params.epsilon, params.lam, params.rho
@@ -294,7 +294,7 @@ def rh_constant(
             psum = box_sums(wvp_prefix, s.origins, s.sides)
             return (psum / s.mass) ** inv_p / s.mean
 
-    best = scan.reduce_family(wg, mode, scan.Reduction(ratio, maximize=True)).best
+    best = scan.reduce_family(wg, mode, (scan.Reduction(ratio, maximize=True),))[0].best
     if not math.isfinite(best.value):
         raise DomainError(
             f"c_hat is not finite at p={p}: Sum w*v^p overflows float64 on cube {best.cube}"

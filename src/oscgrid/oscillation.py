@@ -99,17 +99,12 @@ def gr_epsilon(
     in canonical order attaining the maximum.
     """
     mode = mode or default_mode(wg.grid)
-    red = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=False)
-    res = scan.reduce_family(wg, mode, red)
-    return GRResult(
-        epsilon=res.best.value, witness=res.best.cube, mode=mode, cubes_scanned=res.cubes
-    )
+    return gr_result(scan.reduce_family(wg, mode, (GR_RATIO,))[0], mode)
 
 
-def require_gr(wg: WeightedGrid, epsilon: float, mode: EnumerationMode | None = None) -> GRResult:
-    """gr_epsilon over the family, refusing data outside GR(epsilon): the
+def require_gr(measured: GRResult, epsilon: float) -> GRResult:
+    """The measured gr_epsilon, refusing data outside GR(epsilon): the
     precondition of every verification that starts from GR(epsilon)."""
-    measured = gr_epsilon(wg, mode)
     if measured.epsilon > epsilon:
         raise PreconditionError(
             f"input not in GR({epsilon}): measured epsilon {measured.epsilon} "
@@ -121,3 +116,10 @@ def require_gr(wg: WeightedGrid, epsilon: float, mode: EnumerationMode | None = 
 
 def _gr_ratio(s: scan.CubeStats) -> np.ndarray:
     return np.divide(s.osc, s.wv, out=np.zeros_like(s.osc), where=s.wv > 0)
+
+
+GR_RATIO = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=False)
+
+
+def gr_result(res: scan.ReductionResult, mode: EnumerationMode) -> GRResult:
+    return GRResult(res.best.value, res.best.cube, mode, res.cubes)

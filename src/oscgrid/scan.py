@@ -4,23 +4,27 @@ Every exhaustive analysis in this package reduces some per-cube quantity
 (an oscillation ratio, a level-set fraction, an inequality margin, a
 reverse Holder ratio) over an enumerated cube family.  `reduce_family` is
 the one reduction loop: a `Reduction` names the per-cube value, its
-extremum, and optional "holds" and "first breach" checks, and the loop
-walks the family batch by batch in canonical order, keeping the first cube
-that attains the extremum.
+extremum, and optional "holds" and "first breach" checks, and one walk
+over the family, batch by batch in canonical order, answers a whole tuple
+of them, keeping for each the first cube that attains its extremum.  So a
+command walks its family once for all it needs (epsilon and the whole
+alpha* profile; theorem1's precondition and its margin).
 
-Means and masses come from prefix tables (O(2^n) per cube).  The absolute
-deviation and the level mass are not prefix-summable: the window kernel
-gathers each cube's cells through numpy stride tricks, chunked so peak
-memory stays bounded, and computes Sum w*|v - mean| and Sum w*[v > threshold]
-from one gather.  For 1D grids in "all" and "sample" mode both sums are
-also range-threshold queries, which the wavelet matrix of rangesum answers
-in O(log N) per cube with a rigorous error radius.  There the screen is one
-step of the loop: only the cubes that could decide a result go through the
-kernel, whose per-row results do not depend on the batch around them, so
-every reported value, witness and flag is bit-identical to a full kernel
-scan.  On both paths a cube whose every cell is above the level threshold
-(a whole cube: the kernel's mask, the screen's exact count) has level sum
-exactly its mass, so its level fraction is exactly 1.
+Means and masses come from prefix tables (O(2^n) per cube), once per
+batch.  The absolute deviation and the level mass are not prefix-summable:
+the window kernel gathers each cube's cells through numpy stride tricks,
+chunked so peak memory stays bounded, and computes Sum w*|v - mean| and
+Sum w*[v > threshold], for every reduction's threshold, from one gather.
+For 1D grids in "all" and "sample" mode both sums are also
+range-threshold queries, which the wavelet matrix of rangesum answers in
+O(log N) per cube with a rigorous error radius.  There the screen is one
+step of the loop, per reduction: only the cubes that could decide some
+result go through the kernel, whose per-row results do not depend on the
+batch around them, so every reported value, witness and flag is
+bit-identical to a full kernel scan.  On both paths a cube whose every
+cell is above the level threshold (a whole cube: the kernel's mask, the
+screen's exact count) has level sum exactly its mass, so its level
+fraction is exactly 1.
 """
 
 from __future__ import annotations
@@ -71,42 +75,39 @@ def batch_osc_level(
     wg: WeightedGrid,
     side: int,
     origins: np.ndarray,
-    means: np.ndarray | None = None,
-    thresholds: np.ndarray | None = None,
-    masses: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-cube Sum w*|v - mean| and/or Sum w*[v > threshold] from one gather.
+    means: np.ndarray,
+    thresholds: np.ndarray,
+    masses: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cube Sum w*|v - mean|, and Sum w*[v > threshold] for each row of
+    thresholds (levels, k), from one gather.
 
-    Either reduction may be switched off by passing None.  The level sum
-    needs the cubes' masses too: a cube whose every cell is above its
-    threshold has level sum exactly its mass.  Rows are chunked so at most
-    _CHUNK_CELLS window cells are live at a time.
+    The level sums need the cubes' masses too: a cube whose every cell is
+    above its threshold has level sum exactly its mass.  Rows are chunked
+    so at most _CHUNK_CELLS window cells are live at a time.
     """
     k = origins.shape[0]
     cells = side ** wg.grid.dim
-    osc = np.empty(k) if means is not None else None
-    lvl = np.empty(k) if thresholds is not None else None
+    osc, lvl = np.empty(k), np.empty(thresholds.shape)
     step = max(1, _CHUNK_CELLS // max(cells, 1))
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         sub = origins[lo:hi]
         v_win = gather_windows(wg.values, side, sub)
         w_win = gather_windows(wg.weights, side, sub)
-        if osc is not None:
-            dev = v_win - means[lo:hi, None]
-            np.abs(dev, out=dev)
-            dev *= w_win
-            osc[lo:hi] = dev.sum(axis=1)
-        if lvl is not None:
-            mask = v_win > thresholds[lo:hi, None]
-            lvl[lo:hi] = np.where(mask.all(axis=1), masses[lo:hi], (w_win * mask).sum(axis=1))
+        dev = v_win - means[lo:hi, None]
+        np.abs(dev, out=dev)
+        dev *= w_win
+        osc[lo:hi] = dev.sum(axis=1)
+        for out, thr in zip(lvl, thresholds):
+            mask = v_win > thr[lo:hi, None]
+            out[lo:hi] = np.where(mask.all(axis=1), masses[lo:hi], (w_win * mask).sum(axis=1))
     return osc, lvl
 
 
 class CubeStats(NamedTuple):
     """Per-cube inputs of a reduction: the cubes, their prefix-table mass,
-    Sum w*v and mean, plus the kernel sums the reduction asked for (None
-    otherwise)."""
+    Sum w*v and mean, plus the kernel sums (None where a scan has none)."""
 
     sides: np.ndarray
     origins: np.ndarray
@@ -118,6 +119,9 @@ class CubeStats(NamedTuple):
 
     def take(self, rows) -> "CubeStats":
         return CubeStats(*(None if f is None else f[rows] for f in self))
+
+    def cube(self, i: int) -> Cube:
+        return Cube(tuple(self.origins[i]), self.sides[i])
 
 
 class Reduction(NamedTuple):
@@ -144,11 +148,6 @@ class Reduction(NamedTuple):
     floor: Callable[[CubeStats], np.ndarray] | None = None
     breach: tuple[Callable[[CubeStats], np.ndarray], float] | None = None
 
-    def valid(self, stats: CubeStats) -> np.ndarray:
-        if self.positive_mean:
-            return (stats.mass > 0) & (stats.wv > 0)
-        return stats.mass > 0
-
 
 class ReductionResult(NamedTuple):
     best: Candidate
@@ -159,19 +158,21 @@ class ReductionResult(NamedTuple):
 
 
 def reduce_family(
-    wg: WeightedGrid, mode: EnumerationMode, red: Reduction
-) -> ReductionResult:
-    """Reduce `red` over the family of `mode`, one batch of cubes at a time.
+    wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]
+) -> tuple[ReductionResult, ...]:
+    """Reduce each of `reds` over the family of `mode`, all in one walk,
+    one batch of cubes at a time; one result per reduction, in order.
 
     Every cube's mass and level sum are at most Sum w, and its Sum w*v and
     Sum w*|v - mean| at most 2*Sum w*v, so a grid whose totals are finite
     has finite sums on every cube; any other grid is refused.
 
-    Each batch's rows that may decide a result (be the extremum, break
-    "holds", or be the first breach) go through the window kernel: every
-    valid row, unless the range-threshold screen rules some out.  Batches
-    arrive in canonical order and a strictly-better rule keeps the first
-    cube on exact ties.  A family with no valid cube is an empty measure.
+    The rows of a batch that may decide a result (be an extremum, break a
+    "holds", or be a first breach) go through the window kernel once, in
+    blocks grouped by side, unless the screen rules them out for every
+    reduction; each reduction folds in a block at once.  Batches come in
+    canonical order; a strictly-better rule, and within a batch the earlier
+    cube, wins exact ties.  A family with no valid cube is an empty measure.
     """
     with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
         totals = wg.total_mass, 2 * float(wg.wv_prefix[(-1,) * wg.grid.dim])
@@ -179,64 +180,125 @@ def reduce_family(
         raise DomainError(
             f"grid totals overflow float64: Sum w = {totals[0]}, 2*Sum w*v = {totals[1]}"
         )
-    index = _screen_index(wg, mode, red)
-    better = np.greater if red.maximize else np.less
-    best = breach = bound = None
-    holds = True
-    cubes = skipped = 0
+    index = _screen_index(wg, mode, reds)
+    levels = np.array([red.level for red in reds if red.level is not None])
+    runs = [_Running(red, sum(r.level is not None for r in reds[:i])) for i, red in enumerate(reds)]
+    kernel = levels.size > 0 or any(red.osc for red in reds)
+    cap = max(1, _CHUNK_CELLS // max(levels.size, 1))  # rows of a block, times levels
+    cubes = 0
     for seq_start, sides, origins in iter_origin_batches(wg.grid, mode, decode=index is not None):
         stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins))
-        valid = red.valid(stats)
-        cubes += len(valid)
-        skipped += int(np.count_nonzero(stats.mass > 0) - np.count_nonzero(valid))
-        none = np.zeros_like(valid)
-        extremum = valid
-        below = valid if red.floor is not None and holds else none
-        maybe = valid if red.breach is not None and breach is None else none
-        rows = whole = None
-        if index is not None:
-            extremum, below, maybe, whole, bound = _screen(
-                index, red, stats, valid, below, maybe, bound
-            )
-            rows = np.flatnonzero(extremum | below | maybe)
-            if rows.size == 0:
+        cubes += len(sides)
+        opened = need = False
+        for run in runs:
+            red = run.red
+            valid = (stats.mass > 0) & (stats.wv > 0) if red.positive_mean else stats.mass > 0
+            run.skipped += int(np.count_nonzero(stats.mass > 0) - np.count_nonzero(valid))
+            floor, breach = red.floor is not None and run.holds, red.breach and run.breach is None
+            if index is None:
+                run.open = valid, valid if floor else None, valid if breach else None
                 continue
-            stats, whole = stats.take(rows), None if whole is None else whole[rows]
-            extremum, below, maybe = extremum[rows], below[rows], maybe[rows]
+            *run.open, whole, run.bound = _screen(
+                index, red, stats, valid, floor, breach, run.bound
+            )
+            rows = np.logical_or.reduce([m for m in run.open if m is not None])
+            opened = opened | rows
+            if red.osc or whole is not None:  # a whole cube's level sum is its mass
+                need = need | (rows if red.osc else rows & ~whole)
+        blocks, free = (_blocks(sides, None, cap), None) if kernel else ((), slice(0, len(sides)))
+        if index is not None:
+            blocks, free = _blocks(sides, np.flatnonzero(need), cap), np.flatnonzero(opened & ~need)
+        for pos, parts in blocks:
+            sub = stats.take(pos)
+            osc, lvl = np.empty(len(sub.mass)), np.empty((levels.size, len(sub.mass)))
+            for side, part in parts:
+                osc[part], lvl[:, part] = batch_osc_level(
+                    wg, side, sub.origins[part], means=sub.mean[part],
+                    thresholds=levels[:, None] * sub.mean[part], masses=sub.mass[part],
+                )
+            for run in runs:
+                run.fold(sub, pos, seq_start, osc, lvl)
+        if free is not None:  # rows open to no reduction that needs their cells
+            sub = stats.take(free)
+            for run in runs:
+                run.fold(sub, free, seq_start, np.zeros(len(sub.mass)), [sub.mass] * levels.size)
+    for run in runs:
+        if run.best is None:
+            suffix = " and positive mean" if run.red.positive_mean else ""
+            raise DomainError(f"empty measure: no cube has positive mass{suffix}")
+    return tuple(ReductionResult(r.best, r.holds, cubes, r.skipped, r.breach) for r in runs)
 
-        stats = _kernel_at(wg, red, stats, whole)
 
-        def candidate(values, i):
-            seq = seq_start + (i if rows is None else int(rows[i]))
-            return Candidate(float(values[i]), seq, Cube(tuple(stats.origins[i]), stats.sides[i]))
+class _Running:
+    """A reduction's state in a walk: its results so far, the screen's bound,
+    and the batch rows open to its three checks (a mask, or None: no row)."""
 
-        values = red.value(stats)
-        if extremum.any():
-            masked = np.where(extremum, values, -np.inf if red.maximize else np.inf)
+    def __init__(self, red: Reduction, row: int):
+        self.red, self.row = red, row  # row: its level sum's row in the kernel's output
+        self.best = self.bound = self.breach = None
+        self.holds, self.skipped = True, 0
+
+    def fold(self, s: CubeStats, pos, seq_start: int, osc, lvl) -> None:
+        """Fold in the batch rows `pos` (a slice, or positions ordered by
+        side), whose stats are `s` and kernel sums osc and lvl."""
+        ext, below, maybe = (None if m is None or not m[pos].any() else m[pos] for m in self.open)
+        if ext is None and below is None and maybe is None:
+            return
+        red = self.red
+        s = s._replace(osc=osc, lvl=None if red.level is None else lvl[self.row])
+        values, better = red.value(s), np.greater if red.maximize else np.less
+
+        def first(rows):  # (row, seq) of the cube of `rows` earliest in the family
+            i = int(rows[np.argmin(_at(pos, rows))])
+            return i, seq_start + int(_at(pos, i))
+
+        if ext is not None:
+            masked = np.where(ext, values, -np.inf if red.maximize else np.inf)
             i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
-            if best is None or better(values[i], best.value):
-                best = candidate(values, i)
-                bound = best.value if bound is None or better(best.value, bound) else bound
-        if below.any():
-            holds = bool(np.all(values[below] >= red.floor(stats)[below]))
-        if maybe.any():
-            quantity, limit = red.breach
-            q = quantity(stats)
-            hit = maybe & (q <= limit)
-            if hit.any():  # always, when the screen saw a certain breach
-                breach = candidate(q, int(np.argmax(hit)))
-    if best is None:
-        suffix = " and positive mean" if red.positive_mean else ""
-        raise DomainError(f"empty measure: no cube has positive mass{suffix}")
-    return ReductionResult(best, holds, cubes, skipped, breach)
+            i, seq = first(np.append(np.flatnonzero(masked == masked[i]), i))
+            v, best = values[i], self.best
+            if best is None or better(v, best.value) or v == best.value and seq < best.seq:
+                self.best = Candidate(float(v), seq, s.cube(i))
+                if self.bound is None or better(v, self.bound):
+                    self.bound = self.best.value
+        if below is not None:
+            self.holds = self.holds and bool(np.all(values[below] >= red.floor(s)[below]))
+        if maybe is not None:
+            q = red.breach[0](s)
+            hit = np.flatnonzero(maybe & (q <= red.breach[1]))
+            if hit.size:  # always, when the screen saw a certain breach
+                i, seq = first(hit)
+                if self.breach is None or seq < self.breach.seq:
+                    self.breach = Candidate(float(q[i]), seq, s.cube(i))
 
 
-def _screen_index(wg: WeightedGrid, mode: EnumerationMode, red: Reduction):
+def _at(pos, rows):  # batch positions of rows of the block `pos` picks
+    return rows + pos.start if isinstance(pos, slice) else pos[rows]
+
+
+def _blocks(sides: np.ndarray, rows, cap: int):
+    """Blocks of at most `cap` of the batch rows `rows` (all when None) as
+    (pos, parts): pos picks the block, a slice (a view) in a batch of one
+    side, else positions ordered by side; parts are its (side, slice)s."""
+    if rows is None and sides.min() == sides.max():
+        for lo in range(0, len(sides), cap):
+            hi = min(lo + cap, len(sides))
+            yield slice(lo, hi), [(int(sides[0]), slice(0, hi - lo))]
+        return
+    rows = np.arange(len(sides)) if rows is None else rows
+    rows = rows[np.argsort(sides[rows], kind="stable")]
+    for lo in range(0, len(rows), cap):
+        pos = rows[lo : lo + cap]
+        cuts = [0, *(np.flatnonzero(np.diff(sides[pos])) + 1).tolist(), len(pos)]
+        yield pos, [(int(sides[pos[a]]), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):
     """The range-threshold index of the grid when it can screen this scan:
     a 1D "all" or "sample" family, a reduction that needs kernel sums, and
     estimates whose radii are finite."""
-    if wg.grid.dim == 1 and mode.tag in ("all", "sample") and (red.osc or red.level is not None):
-        if wg.threshold_index.finite:
+    if wg.grid.dim == 1 and mode.tag in ("all", "sample"):
+        if any(red.osc or red.level is not None for red in reds) and wg.threshold_index.finite:
             return wg.threshold_index
     return None
 
@@ -246,28 +308,29 @@ def _bracket(fn, low: CubeStats, high: CubeStats):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _screen(index, red: Reduction, stats: CubeStats, valid, below, maybe, bound):
-    """Narrow the open rows of a 1D batch with range-threshold brackets.
+def _screen(index, red: Reduction, stats: CubeStats, valid, floor_open, breach_open, bound):
+    """Narrow the open rows of a 1D batch for one reduction with
+    range-threshold brackets.
 
     Each cube's value (and breach quantity) is bracketed by evaluating it at
     both ends of its kernel sum's error interval.  A cube stays open when
     its bracket reaches the running bound (the best value some screened or
     refined cube is known to attain), when it might fall below the floor
-    while "holds" is still true, or when it might be a breach no earlier
-    than the first certain one.  The bound never passes the true extremum,
-    so the first cube attaining it is always refined.  A cube certain to
-    fall below the floor is refined alone: the kernel confirms it.
+    while "holds" is still true (floor_open), or when it might be a breach
+    no earlier than the first certain one (breach_open).  The bound never
+    passes the true extremum, so the first cube attaining it is always
+    refined.  A cube certain to fall below the floor is refined alone: the
+    kernel confirms it.
 
-    `below` and `maybe` come in as the rows still open to those two checks
-    (all valid rows, or none).  Returns the narrowed masks (extremum, below,
-    maybe), the whole cubes (every cell above the level threshold, by the
-    exact count; None without a level), whose level sum is exactly their
-    mass, and the new bound.
+    Returns the open masks (extremum, below, maybe; None for no row), the
+    whole cubes (every cell above the level threshold, by the exact count;
+    None without a level), whose level sum is exactly their mass, and the
+    new bound.
     """
     lo = stats.origins[:, 0]
     hi = lo + stats.sides
     osc = lvl = (None, None)
-    whole = None
+    whole = below = maybe = None
     if red.osc:
         est, rad = index.abs_deviation(lo, hi, stats.mean)
         osc = (est - rad, est + rad)
@@ -279,54 +342,20 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, below, maybe, bound)
     high = stats._replace(osc=osc[1], lvl=lvl[1])
     vmin, vmax = _bracket(red.value, low, high)
     better = np.greater if red.maximize else np.less
-    if valid.any():
-        edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
-        bound = edge if bound is None or better(edge, bound) else bound
+    if not valid.any():
+        return valid, below, maybe, whole, bound
+    edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
+    bound = edge if bound is None or better(edge, bound) else bound
     reach = vmax if red.maximize else vmin
-    extremum = valid & ~better(bound, reach) if bound is not None else valid
-    if below.any():
+    extremum = valid & ~better(bound, reach)
+    if floor_open:
         floor = red.floor(low)
         fails = valid & (vmax < floor)
         below = fails & (np.cumsum(fails) == 1) if fails.any() else valid & (vmin < floor)
-    if maybe.any():
+    if breach_open:
         qmin, qmax = _bracket(red.breach[0], low, high)
         maybe = valid & (qmin <= red.breach[1])
         sure = valid & (qmax <= red.breach[1])
         if sure.any():
             maybe[int(np.argmax(sure)) + 1 :] = False
     return extremum, below, maybe, whole, bound
-
-
-def _kernel_at(wg, red: Reduction, stats: CubeStats, whole) -> CubeStats:
-    """`stats` with the kernel sums the reduction asks for filled in.
-
-    Each side's cubes form one batch, whose rows do not depend on the rest
-    of it.  A level-only reduction gathers no `whole` cube (see `_screen`):
-    its level sum is its mass.
-    """
-    if not red.osc and red.level is None:
-        return stats
-    osc = np.empty(len(stats.mass)) if red.osc else None
-    lvl = stats.mass.copy() if red.level is not None else None
-    gather = ~whole if whole is not None and not red.osc else True
-    lo, hi = int(stats.sides.min()), int(stats.sides.max())
-    for side in [lo] if lo == hi else np.unique(stats.sides).tolist():
-        if lo == hi and gather is True:
-            rows = slice(None)  # the whole batch, without copying it
-        else:
-            rows = np.flatnonzero((stats.sides == side) & gather)
-            if rows.size == 0:
-                continue
-        part_osc, part_lvl = batch_osc_level(
-            wg,
-            side,
-            stats.origins[rows],
-            means=stats.mean[rows] if osc is not None else None,
-            thresholds=red.level * stats.mean[rows] if lvl is not None else None,
-            masses=stats.mass[rows] if lvl is not None else None,
-        )
-        if osc is not None:
-            osc[rows] = part_osc
-        if lvl is not None:
-            lvl[rows] = part_lvl
-    return stats._replace(osc=osc, lvl=lvl)

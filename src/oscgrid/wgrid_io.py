@@ -6,9 +6,10 @@ The canonical "wgrid" format is JSON:
      "weights": [row-major reals], "values": [row-major reals]}
 
 A CSV alternative exists for 1D data: a header line followed by rows
-"index,weight,value".  Both loaders send weights and values through one
-check that rejects NaN, infinities, negatives and nested lists and names
-the offending field, so a file that loads is already valid.
+"index,weight,value"; a first line of three numbers is refused as a
+missing header.  Both loaders send weights and values through one check
+that rejects NaN, infinities, negatives and nested lists and names the
+offending field, so a file that loads is already valid.
 """
 
 from __future__ import annotations
@@ -27,26 +28,38 @@ __all__ = ["load_wgrid", "save_wgrid", "file_digest"]
 
 
 def file_digest(path: str | Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _digest(Path(path).read_bytes())
+
+
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def load_wgrid(path: str | Path) -> WeightedGrid:
+    """The grid in the file, read once: its `source_digest` is the sha256
+    digest of the bytes the grid was parsed from."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        wg = _load_csv(path)
-    else:
-        wg = _load_json(path)
+    wg, digest = _load_csv(path) if path.suffix.lower() == ".csv" else _load_json(path)
     report = validate(wg)
     if not report.ok:
         raise DataValidationError("; ".join(report.violations))
+    wg.source_digest = digest
     return wg
 
 
-def _load_json(path: Path) -> WeightedGrid:
+def _read(path: Path) -> tuple[str, str]:
+    """The file's text and the digest of its bytes, from one read."""
+    data = path.read_bytes()
+    return data.decode(), _digest(data)
+
+
+def _load_json(path: Path) -> tuple[WeightedGrid, str]:
+    text, digest = _read(path)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"json: {exc}") from exc
+    del text  # the parsed lists hold the data now; the text would only add to the peak
     if not isinstance(obj, dict):
         raise DataValidationError("json: top-level object expected")
     for field in ("dim", "shape", "weights", "values"):
@@ -65,7 +78,7 @@ def _load_json(path: Path) -> WeightedGrid:
     grid = Grid(shape)
     weights = _parse_numbers(obj["weights"], "weights", grid.ncells)
     values = _parse_numbers(obj["values"], "values", grid.ncells)
-    return WeightedGrid(grid, weights, values)
+    return WeightedGrid(grid, weights, values), digest
 
 
 def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:
@@ -84,10 +97,17 @@ def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:
     return arr
 
 
-def _load_csv(path: Path) -> WeightedGrid:
-    rows = list(csv.reader(path.read_text().splitlines()))
+def _load_csv(path: Path) -> tuple[WeightedGrid, str]:
+    text, digest = _read(path)
+    rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise DataValidationError("csv: empty file")
+    try:
+        numbers = len(rows[0]) == 3 and [float(field) for field in rows[0]]
+    except ValueError:
+        numbers = False
+    if numbers:  # a data row where the header belongs
+        raise DataValidationError("csv: missing header line")
     body = rows[1:]
     if not body:
         raise DataValidationError("csv: no data rows")
@@ -112,7 +132,7 @@ def _load_csv(path: Path) -> WeightedGrid:
         values[idx] = v
     return WeightedGrid(
         Grid((n,)), _parse_numbers(weights, "weights", n), _parse_numbers(values, "values", n)
-    )
+    ), digest
 
 
 def save_wgrid(wg: WeightedGrid, path: str | Path) -> None:

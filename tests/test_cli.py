@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscgrid import EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent
+from oscgrid import grids, scan
 from oscgrid.cli import main
 from oscgrid.wgrid_io import save_wgrid
 
@@ -101,6 +103,46 @@ def test_theorem1_fwd_precondition(tmp_path, capsys):
     assert "not in GR" in err
 
 
+@pytest.mark.parametrize("shape, mode", [((24,), "all"), ((8, 8), "dyadic"), ((8, 8), "sample:50:1")])
+def test_theorem1_fwd_below_the_measured_epsilon(tmp_path, capsys, shape, mode):
+    # the precondition comes from the same walk as the margin, and fails
+    # with the message of a separate epsilon scan
+    rng = np.random.default_rng(7)
+    wg = WeightedGrid(Grid(shape), *np.exp(rng.standard_normal((2, *shape))))
+    path = str(tmp_path / "g.json")
+    save_wgrid(wg, path)
+    gr = gr_epsilon(wg, EnumerationMode.parse(mode))
+    eps = gr.epsilon / 2
+    code, out, err = run_cli(capsys, "theorem1", path, "--mode", mode, "--direction", "fwd",
+                             "--epsilon", repr(eps), "--lambda", "1.9")
+    assert (code, out) == (3, "")
+    assert err == (f"precondition failure: input not in GR({eps}): measured epsilon "
+                   f"{gr.epsilon} on cube {gr.witness}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["theorem1", "--direction", "fwd", "--epsilon", "1.9", "--lambda", "1.95"],
+    ["theorem1", "--direction", "rev", "--alpha", "0.01", "--beta", "0.5"],
+])
+@pytest.mark.parametrize("mode", ["all", "sample:40:3"])
+def test_each_command_walks_the_family_once(tmp_path, capsys, monkeypatch, argv, mode):
+    walks = []
+    batches = scan.iter_origin_batches
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return batches(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "iter_origin_batches", counted)
+    wg = WeightedGrid(Grid((12,)), np.ones(12), np.arange(1.0, 13.0))
+    path = str(tmp_path / "g.json")
+    save_wgrid(wg, path)
+    code, _, _ = run_cli(capsys, argv[0], path, "--mode", mode, *argv[1:])
+    assert code == 0
+    assert walks == [EnumerationMode.parse(mode)]
+
+
 def test_theorem1_rev(tmp_path, capsys):
     path = write_two_cell(tmp_path)
     code, out, _ = run_cli(
@@ -183,6 +225,7 @@ def test_covering_commands_reject_nonsquare_grid_before_the_epsilon_scan(
         raise AssertionError("the epsilon scan ran first")
 
     monkeypatch.setattr("oscgrid.cli.gr_epsilon", no_scan)
+    monkeypatch.setattr("oscgrid.holder.gr_epsilon", no_scan)
     monkeypatch.setattr(importlib.import_module("oscgrid.oscillation"), "gr_epsilon", no_scan)
     path = tmp_path / "wide.json"
     values = [0, 0, 0, 9, 0, 0, 0, 0]
@@ -259,6 +302,53 @@ def test_rh_non_finite_c_hat_is_a_domain_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: c_hat is not finite") and err.count("\n") == 1
+
+
+def test_input_is_read_once(tmp_path, capsys, monkeypatch):
+    # the report's digest is the sha256 of the bytes the loader parsed
+    def second_read(*args):
+        raise AssertionError("the input was read again for its digest")
+
+    monkeypatch.setattr("oscgrid.cli.file_digest", second_read)
+    for name, text in [("g.json", json.dumps({"dim": 1, "shape": [2], "weights": [1, 1],
+                                              "values": [0, 2]})),
+                       ("g.csv", "index,weight,value\r\n0,1,0\r\n1,1,2\r\n")]:
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        digest = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+        assert json.loads(out)["input_digest"] == digest
+
+
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"dim": 1, "shape": [1], "weights": [1], "values": [1], "x": "\xff"}')
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
+def test_csv_without_header_line_is_a_usage_error(tmp_path, capsys):
+    # the first line used to be dropped unread: this file analyzed as one cell
+    path = tmp_path / "g.csv"
+    path.write_text("1,1,5\n0,1,2\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: csv: missing header line\n"
+
+
+@pytest.mark.parametrize("count", [str(2**24 + 1), "3000000000", "99999999999999999999999"])
+def test_sample_count_beyond_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch, count):
+    def no_draw(*args):
+        raise AssertionError("drew the sample before validating its count")
+
+    monkeypatch.setattr(grids, "sample_positions", no_draw)
+    path = write_two_cell(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", path, "--mode", f"sample:{count}:1")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("sample count over the limit of 16777216")
 
 
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):

@@ -112,6 +112,17 @@ def test_mode_parse_roundtrip():
     assert default_mode(Grid((8, 8))) == EnumerationMode.dyadic()
 
 
+def test_sample_count_is_bounded():
+    # the draw is one array of COUNT positions; a larger COUNT is refused
+    # when the mode is made, long before anything is drawn
+    limit = EnumerationMode.MAX_SAMPLE
+    assert limit == 1 << 24
+    assert EnumerationMode.parse(f"sample:{limit}:1").count == limit
+    for count in (limit + 1, 3_000_000_000, 99999999999999999999999):
+        with pytest.raises(ConfigurationError, match=f"over the limit of {limit}$"):
+            EnumerationMode.parse(f"sample:{count}:1")
+
+
 def test_cube_mass_examples():
     wg = WeightedGrid(Grid((4,)), np.ones(4), np.ones(4))
     assert cube_mass(wg, Cube((0,), 4)) == 4.0
@@ -206,6 +217,9 @@ def test_loader_rejections(tmp_path, mutate, field):
         ("index,weight,value\n0,-1,1\n1,1,2\n", "weights: negative"),
         ("index,weight,value\n0,1,1\n0,1,2\n", "index: duplicate 0"),
         ("index,weight,value\n0,1,1\n2,1,2\n", "index: 2 out of range"),
+        # a first line of three numbers is a data row, not a header to drop
+        ("1,1,5\n0,1,2\n", "csv: missing header line"),
+        ("0, 1e0 ,nan\n", "csv: missing header line"),
     ],
 )
 def test_csv_loader_rejections(tmp_path, text, message):

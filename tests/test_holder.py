@@ -286,6 +286,7 @@ def test_tail_bound_checks_shape_and_t_before_the_epsilon_scan(two_cell, monkeyp
         raise AssertionError("the epsilon scan ran first")
 
     monkeypatch.setattr(importlib.import_module("oscgrid.oscillation"), "gr_epsilon", no_scan)
+    monkeypatch.setattr("oscgrid.holder.gr_epsilon", no_scan)
     wg = WeightedGrid(Grid((4, 6)), np.ones((4, 6)), np.ones((4, 6)))
     params = TailBoundParams(epsilon=1.0, lam=1.5, rho=0.2, t_values=(0.1,))
     with pytest.raises(ConfigurationError, match="equal-sided"):

@@ -17,6 +17,7 @@ from oscgrid import (
     LevelParams,
     WeightedGrid,
     alpha_profile,
+    epsilon_and_profile,
     generate,
     gr_epsilon,
     verify_ainfty_to_gr,
@@ -60,13 +61,13 @@ def test_estimates_within_radius_of_kernel():
             origins = np.arange(n - side + 1)[:, None]
             lo, hi = origins[:, 0], origins[:, 0] + side
             mass, _, means = scan.batch_mass_mean(wg, side, origins)
-            osc, _ = scan.batch_osc_level(wg, side, origins, means=means)
+            betas = (0.05, 0.5, 0.95, 1.0)
+            osc, levels = scan.batch_osc_level(wg, side, origins, means=means,
+                                               thresholds=np.outer(betas, means), masses=mass)
             est, rad = index.abs_deviation(lo, hi, means)
             assert np.all(np.abs(est - osc) <= rad)
-            for beta in (0.05, 0.5, 0.95, 1.0):
+            for beta, lvl in zip(betas, levels):
                 thresholds = beta * means
-                _, lvl = scan.batch_osc_level(wg, side, origins, thresholds=thresholds,
-                                              masses=mass)
                 est, rad, above = index.level_mass(lo, hi, thresholds)
                 # a whole cube's level sum is its mass; the rest are estimated
                 whole = above == side
@@ -98,16 +99,16 @@ def test_kernel_rows_do_not_depend_on_the_batch():
     for side in (1, 7, 129, 300, 1000):
         origins = np.arange(1025 - side)[:, None]
         mass, _, means = scan.batch_mass_mean(wg, side, origins)
-        full = scan.batch_osc_level(wg, side, origins, means=means, thresholds=0.5 * means,
+        full = scan.batch_osc_level(wg, side, origins, means=means, thresholds=(0.5 * means)[None],
                                     masses=mass)
         rows = np.sort(rng.choice(len(origins), size=min(5, len(origins)), replace=False))
         part = scan.batch_osc_level(wg, side, origins[rows], means=means[rows],
-                                    thresholds=0.5 * means[rows], masses=mass[rows])
-        assert np.array_equal(full[0][rows], part[0]) and np.array_equal(full[1][rows], part[1])
+                                    thresholds=(0.5 * means[rows])[None], masses=mass[rows])
+        assert np.array_equal(full[0][rows], part[0]) and np.array_equal(full[1][:, rows], part[1])
         # and the level sum at a threshold every cell passes is the prefix mass
-        _, passed = scan.batch_osc_level(wg, side, origins, thresholds=np.full(len(origins), -np.inf),
-                                         masses=mass)
-        assert np.array_equal(passed, mass)
+        _, passed = scan.batch_osc_level(wg, side, origins, means=means,
+                                         thresholds=np.full((1, len(origins)), -np.inf), masses=mass)
+        assert np.array_equal(passed[0], mass)
 
 
 def outcomes(wg, mode):
@@ -129,7 +130,29 @@ def outcomes(wg, mode):
     for alpha in (half, 0.6):
         params = LevelParams(alpha, 0.5)
         out.append(attempt(lambda: verify_ainfty_to_gr(wg, params, mode)))
+    # the same quantities from one walk each
+    out.append(attempt(lambda: epsilon_and_profile(wg, (0.1, 0.5, 0.9), mode)))
+    out.append(attempt(lambda: scan.reduce_family(wg, mode, ONE_WALK)))
     return out
+
+
+def _margin(s):
+    return 1.5 * s.mean - np.divide(s.osc, s.mass, out=np.zeros_like(s.osc), where=s.mass > 0)
+
+
+def _fraction(s):
+    return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
+
+
+# the reductions of theorem1 fwd and rev, with alpha* at two betas, in one walk
+ONE_WALK = (
+    scan.Reduction(_fraction, maximize=False, level=0.3),
+    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6,
+                   floor=lambda s: -1e-12 * s.mass),
+    scan.Reduction(_margin, maximize=False, osc=True, level=0.5,
+                   floor=lambda s: -1e-12 * s.mean, breach=(_fraction, 0.6)),
+    scan.Reduction(_fraction, maximize=False, level=0.9),
+)
 
 
 CASES = [(wg, mode) for wg in hard_grids(3, 24, max_n=48) for mode in MODES]
@@ -158,14 +181,14 @@ def test_holds_decided_by_the_kernel_at_an_exact_floor():
         return np.divide(s.osc, s.wv, out=np.zeros_like(s.osc), where=s.wv > 0)
 
     def both_paths(wg, mode, red):
-        screened = scan.reduce_family(wg, mode, red)
-        assert screened == full_kernel(scan.reduce_family, wg, mode, red)
+        (screened,) = scan.reduce_family(wg, mode, (red,))
+        assert (screened,) == full_kernel(scan.reduce_family, wg, mode, (red,))
         return screened.holds
 
     for wg in hard_grids(5, 12, max_n=40):
         for mode in MODES:
             low = scan.Reduction(ratio, maximize=False, osc=True, positive_mean=False)
-            lowest = scan.reduce_family(wg, mode, low).best.value
+            lowest = scan.reduce_family(wg, mode, (low,))[0].best.value
             for floor, holds in ((lowest, True), (np.nextafter(lowest, np.inf), False)):
                 red = scan.Reduction(ratio, maximize=True, osc=True, positive_mean=False,
                                      floor=lambda s: np.full_like(s.mass, floor))
