@@ -180,8 +180,12 @@ def _cmd_theorem2(args, wg, mode):
 
 def _cmd_rh(args, wg, mode):
     payload: dict = {}
-    if args.b_from_covering and not args.auto:
-        raise ConfigurationError("--B-from-covering needs --auto")
+    if args.auto and args.p is not None:
+        raise ConfigurationError("--p conflicts with --auto, which chooses p")
+    if not args.auto and (args.b_from_covering or args.delta is not None):
+        flag = "--B-from-covering" if args.b_from_covering else "--delta"
+        raise ConfigurationError(f"{flag} needs --auto")
+    delta = 1e-6 if args.delta is None else args.delta
     if args.b_from_covering:
         check_square(wg.grid)
     if args.auto:
@@ -190,10 +194,10 @@ def _cmd_rh(args, wg, mode):
             raise DomainError("measured epsilon is 0 (constant data); pass --p explicitly")
         overlap = 1.0
         if args.b_from_covering:
-            overlap, constants = _measured_overlap(wg, gr.epsilon, args.delta)
+            overlap, constants = _measured_overlap(wg, gr.epsilon, delta)
             payload["covering"] = constants
         lam_star, rho_star, p_star = optimize_rh_exponent(
-            gr.epsilon, overlap=overlap, delta=args.delta
+            gr.epsilon, overlap=overlap, delta=delta
         )
         p = p_star
         payload["auto"] = {
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rh.add_argument("--p", type=float, default=None)
     p_rh.add_argument("--auto", action="store_true")
     p_rh.add_argument("--B-from-covering", dest="b_from_covering", action="store_true")
-    p_rh.add_argument("--delta", type=float, default=1e-6)
+    p_rh.add_argument("--delta", type=float, default=None)  # 1e-6 under --auto
     _common_flags(p_rh)
     p_rh.set_defaults(fn=_cmd_rh)
 
@@ -313,7 +317,8 @@ def main(argv=None) -> int:
         wg = load_wgrid(args.input)
         mode = args.mode or default_mode(wg.grid)
         payload, code, summary = args.fn(args, wg, mode)
-        sys.stdout.write(_dump_report(args.command, wg.source_digest, mode, payload))
+        digest, wg = wg.source_digest, None  # the report's encoder reuses the grid's memory
+        sys.stdout.write(_dump_report(args.command, digest, mode, payload))
         print(summary, file=sys.stderr)
         return code
     except PreconditionError as exc:

@@ -6,7 +6,8 @@ function value (f constant on the cell).  Subcubes are cell-aligned with
 equal integer side in every axis.  Aggregate queries (cube mass, weighted
 sums over a cube) go through padded prefix-sum tables, so a single query
 costs O(2^n) lookups.  Cube families (every subcube in dims 1..3, dyadic
-cubes in any dimension, a seeded sample) come in batches of origins.
+cubes in any dimension, a seeded sample) come in batches of at most a few
+thousand cubes, decoded from their positions in the canonical order.
 
 Cell weights are masses on purpose: strongly non-doubling measures are
 expressed directly by wildly varying weights with no quadrature convention
@@ -16,7 +17,7 @@ in the way.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -325,32 +326,22 @@ def cube_mass(wg: WeightedGrid, cube: Cube) -> float:
     return float(box_sums(wg.w_prefix, origins, cube.side)[0])
 
 
-def _lex_origins(shape: Sequence[int], side: int, step: int = 1) -> np.ndarray:
-    ranges = [np.arange(0, n - side + 1, step, dtype=np.int64) for n in shape]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def dyadic_sides(grid: Grid) -> list[int]:
-    if not grid.is_square() or not _is_pow2(grid.shape[0]):
+def family_counts(grid: Grid, mode: EnumerationMode) -> tuple[np.ndarray, ...]:
+    """Per-side sides (ascending), origin strides and the cumsum of the cube
+    counts of the family of `mode`; a sample draws from the "all" family."""
+    if mode.tag != "dyadic":
+        sides = np.arange(1, grid.min_side + 1, dtype=np.int64)
+        steps = np.ones_like(sides)
+    elif grid.is_square() and _is_pow2(grid.shape[0]):
+        sides = steps = 1 << np.arange(grid.shape[0].bit_length(), dtype=np.int64)
+    else:
         raise ConfigurationError(
             f"dyadic enumeration needs an equal power-of-two shape, got {grid.shape}"
         )
-    side = 1
-    out = []
-    while side <= grid.shape[0]:
-        out.append(side)
-        side *= 2
-    return out
-
-
-def family_counts(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-side counts of the "all" family (sides ascending) and their cumsum."""
-    sides = np.arange(1, grid.min_side + 1, dtype=np.int64)
     counts = np.ones_like(sides)
     for n in grid.shape:
-        counts = counts * (n - sides + 1)
-    return sides, np.cumsum(counts)
+        counts = counts * ((n - sides) // steps + 1)
+    return sides, steps, np.cumsum(counts)
 
 
 def enumerate_cubes(grid: Grid, mode: EnumerationMode) -> Iterator[Cube]:
@@ -365,56 +356,47 @@ def enumerate_cubes(grid: Grid, mode: EnumerationMode) -> Iterator[Cube]:
             yield Cube(tuple(row), side)
 
 
-# cubes per decoded batch; a few MB of live temporaries
+# cubes per batch; a few MB of live temporaries
 _CHUNK_CUBES = 1 << 13
 
 
 def iter_origin_batches(
-    grid: Grid, mode: EnumerationMode, decode: bool = False
+    grid: Grid, mode: EnumerationMode
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Batched form of enumerate_cubes: (seq_start, sides (k,), origins (k, dim)).
 
     Batches partition the canonical sequence in order, which is what the
-    deterministic scan reductions rely on.  "all" and "dyadic" come one
-    batch per side, with `sides` a broadcast view of that side.  A sample,
-    and "all" when `decode` is set, comes in batches of _CHUNK_CUBES cubes
-    decoded from their positions in the canonical "all" order, so a batch
-    may mix sides; no array over the whole family is built.
+    deterministic scan reductions rely on.  Every family comes in batches
+    of at most _CHUNK_CUBES cubes, decoded from their positions in the
+    family's canonical order (a sample's from the positions it drew in the
+    "all" order), so a batch may mix sides; no array over the whole family
+    is built.
     """
     if mode.tag == "all" and grid.dim > 3:
         raise ConfigurationError("exhaustive enumeration is limited to dimensions 1..3")
-    if mode.tag == "sample" or (decode and mode.tag == "all"):
-        drawn = sample_positions(grid, mode) if mode.tag == "sample" else None
-        total = int(family_counts(grid)[1][-1]) if drawn is None else len(drawn)
-        for lo in range(0, total, _CHUNK_CUBES):
-            seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
-            yield (lo, *family_cubes(grid, seq if drawn is None else drawn[seq]))
-        return
-    dyadic = mode.tag == "dyadic"
-    seq = 0
-    for side in dyadic_sides(grid) if dyadic else range(1, grid.min_side + 1):
-        origins = _lex_origins(grid.shape, side, step=side if dyadic else 1)
-        yield seq, np.broadcast_to(np.int64(side), origins.shape[0]), origins
-        seq += origins.shape[0]
+    drawn = sample_positions(grid, mode) if mode.tag == "sample" else None
+    total = int(family_counts(grid, mode)[2][-1]) if drawn is None else len(drawn)
+    for lo in range(0, total, _CHUNK_CUBES):
+        seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
+        yield (lo, *family_cubes(grid, mode, seq if drawn is None else drawn[seq]))
 
 
 def sample_positions(grid: Grid, mode: EnumerationMode) -> np.ndarray:
     """Positions in the canonical "all" order of the cubes a sample mode
     draws, in draw order (uniform, with replacement, deterministic in seed)."""
-    _, cum = family_counts(grid)
+    cum = family_counts(grid, mode)[2]
     return np.random.default_rng(mode.seed).integers(0, int(cum[-1]), size=mode.count)
 
 
-def family_cubes(grid: Grid, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def family_cubes(
+    grid: Grid, mode: EnumerationMode, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(sides (k,), origins (k, dim)) of the cubes at the given positions of
-    the canonical "all" order."""
-    sides, cum = family_counts(grid)
+    the canonical order of the family of `mode` (of "all" for a sample)."""
+    sides, steps, cum = family_counts(grid, mode)
     si = np.searchsorted(cum, positions, side="right")
     offset = positions - np.where(si > 0, cum[si - 1], 0)
-    side = sides[si]
     origins = np.empty((len(positions), grid.dim), dtype=np.int64)
-    for axis in reversed(range(grid.dim)):
-        extent = grid.shape[axis] - side + 1
-        origins[:, axis] = offset % extent
-        offset = offset // extent
-    return side, origins
+    for axis in reversed(range(grid.dim)):  # origins per axis, in units of the stride
+        offset, origins[:, axis] = np.divmod(offset, ((grid.shape[axis] - sides) // steps + 1)[si])
+    return sides[si], origins * steps[si, None]

@@ -5,10 +5,11 @@ Every exhaustive analysis in this package reduces some per-cube quantity
 reverse Holder ratio) over an enumerated cube family.  `reduce_family` is
 the one reduction loop: a `Reduction` names the per-cube value, its
 extremum, and optional "holds" and "first breach" checks, and one walk
-over the family, batch by batch in canonical order, answers a whole tuple
-of them, keeping for each the first cube that attains its extremum.  So a
-command walks its family once for all it needs (epsilon and the whole
-alpha* profile; theorem1's precondition and its margin).
+over the family, in batches of at most a few thousand cubes in canonical
+order whatever the mode, answers a whole tuple of them, keeping for each
+the first cube that attains its extremum.  So a command walks its family
+once for all it needs (epsilon and the whole alpha* profile; theorem1's
+precondition and its margin).
 
 Means and masses come from prefix tables (O(2^n) per cube), once per
 batch.  The absolute deviation and the level mass are not prefix-summable:
@@ -117,9 +118,6 @@ class CubeStats(NamedTuple):
     osc: np.ndarray | None = None  # Sum w*|v - mean|
     lvl: np.ndarray | None = None  # Sum w*[v > level*mean]
 
-    def take(self, rows) -> "CubeStats":
-        return CubeStats(*(None if f is None else f[rows] for f in self))
-
     def cube(self, i: int) -> Cube:
         return Cube(tuple(self.origins[i]), self.sides[i])
 
@@ -168,11 +166,12 @@ def reduce_family(
     has finite sums on every cube; any other grid is refused.
 
     The rows of a batch that may decide a result (be an extremum, break a
-    "holds", or be a first breach) go through the window kernel once, in
-    blocks grouped by side, unless the screen rules them out for every
-    reduction; each reduction folds in a block at once.  Batches come in
-    canonical order; a strictly-better rule, and within a batch the earlier
-    cube, wins exact ties.  A family with no valid cube is an empty measure.
+    "holds", or be a first breach) go through the window kernel once per
+    side, unless the screen rules them out for every reduction; the others
+    keep osc = 0 and level sums equal to their mass.  Each reduction folds
+    in the whole batch at once.  Batches come in canonical order and
+    argmax/argmin take the earliest row, so the earliest cube wins exact
+    ties.  A family with no valid cube is an empty measure.
     """
     with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
         totals = wg.total_mass, 2 * float(wg.wv_prefix[(-1,) * wg.grid.dim])
@@ -184,12 +183,11 @@ def reduce_family(
     levels = np.array([red.level for red in reds if red.level is not None])
     runs = [_Running(red, sum(r.level is not None for r in reds[:i])) for i, red in enumerate(reds)]
     kernel = levels.size > 0 or any(red.osc for red in reds)
-    cap = max(1, _CHUNK_CELLS // max(levels.size, 1))  # rows of a block, times levels
     cubes = 0
-    for seq_start, sides, origins in iter_origin_batches(wg.grid, mode, decode=index is not None):
+    for seq_start, sides, origins in iter_origin_batches(wg.grid, mode):
         stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins))
         cubes += len(sides)
-        opened = need = False
+        need = np.full(len(sides), kernel and index is None)
         for run in runs:
             red = run.red
             valid = (stats.mass > 0) & (stats.wv > 0) if red.positive_mean else stats.mass > 0
@@ -201,27 +199,19 @@ def reduce_family(
             *run.open, whole, run.bound = _screen(
                 index, red, stats, valid, floor, breach, run.bound
             )
-            rows = np.logical_or.reduce([m for m in run.open if m is not None])
-            opened = opened | rows
             if red.osc or whole is not None:  # a whole cube's level sum is its mass
-                need = need | (rows if red.osc else rows & ~whole)
-        blocks, free = (_blocks(sides, None, cap), None) if kernel else ((), slice(0, len(sides)))
-        if index is not None:
-            blocks, free = _blocks(sides, np.flatnonzero(need), cap), np.flatnonzero(opened & ~need)
-        for pos, parts in blocks:
-            sub = stats.take(pos)
-            osc, lvl = np.empty(len(sub.mass)), np.empty((levels.size, len(sub.mass)))
-            for side, part in parts:
-                osc[part], lvl[:, part] = batch_osc_level(
-                    wg, side, sub.origins[part], means=sub.mean[part],
-                    thresholds=levels[:, None] * sub.mean[part], masses=sub.mass[part],
-                )
-            for run in runs:
-                run.fold(sub, pos, seq_start, osc, lvl)
-        if free is not None:  # rows open to no reduction that needs their cells
-            sub = stats.take(free)
-            for run in runs:
-                run.fold(sub, free, seq_start, np.zeros(len(sub.mass)), [sub.mass] * levels.size)
+                opened = np.logical_or.reduce([m for m in run.open if m is not None])
+                need |= opened if red.osc else opened & ~whole
+        osc, lvl = np.zeros(len(sides)), np.tile(stats.mass, (levels.size, 1))
+        rows = np.flatnonzero(need)
+        rows = rows[np.argsort(sides[rows], kind="stable")]
+        for part in np.split(rows, np.flatnonzero(np.diff(sides[rows])) + 1) if rows.size else ():
+            osc[part], lvl[:, part] = batch_osc_level(
+                wg, int(sides[part[0]]), origins[part], means=stats.mean[part],
+                thresholds=levels[:, None] * stats.mean[part], masses=stats.mass[part],
+            )
+        for run in runs:
+            run.fold(stats, seq_start, osc, lvl)
     for run in runs:
         if run.best is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
@@ -238,59 +228,29 @@ class _Running:
         self.best = self.bound = self.breach = None
         self.holds, self.skipped = True, 0
 
-    def fold(self, s: CubeStats, pos, seq_start: int, osc, lvl) -> None:
-        """Fold in the batch rows `pos` (a slice, or positions ordered by
-        side), whose stats are `s` and kernel sums osc and lvl."""
-        ext, below, maybe = (None if m is None or not m[pos].any() else m[pos] for m in self.open)
+    def fold(self, s: CubeStats, seq_start: int, osc, lvl) -> None:
+        """Fold in a batch whose stats are `s` and kernel sums osc and lvl."""
+        ext, below, maybe = (None if m is None or not m.any() else m for m in self.open)
         if ext is None and below is None and maybe is None:
             return
         red = self.red
         s = s._replace(osc=osc, lvl=None if red.level is None else lvl[self.row])
         values, better = red.value(s), np.greater if red.maximize else np.less
-
-        def first(rows):  # (row, seq) of the cube of `rows` earliest in the family
-            i = int(rows[np.argmin(_at(pos, rows))])
-            return i, seq_start + int(_at(pos, i))
-
         if ext is not None:
             masked = np.where(ext, values, -np.inf if red.maximize else np.inf)
             i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
-            i, seq = first(np.append(np.flatnonzero(masked == masked[i]), i))
-            v, best = values[i], self.best
-            if best is None or better(v, best.value) or v == best.value and seq < best.seq:
-                self.best = Candidate(float(v), seq, s.cube(i))
-                if self.bound is None or better(v, self.bound):
+            if self.best is None or better(values[i], self.best.value):
+                self.best = Candidate(float(values[i]), seq_start + i, s.cube(i))
+                if self.bound is None or better(values[i], self.bound):
                     self.bound = self.best.value
         if below is not None:
             self.holds = self.holds and bool(np.all(values[below] >= red.floor(s)[below]))
-        if maybe is not None:
+        if maybe is not None:  # only while no breach is known
             q = red.breach[0](s)
             hit = np.flatnonzero(maybe & (q <= red.breach[1]))
             if hit.size:  # always, when the screen saw a certain breach
-                i, seq = first(hit)
-                if self.breach is None or seq < self.breach.seq:
-                    self.breach = Candidate(float(q[i]), seq, s.cube(i))
-
-
-def _at(pos, rows):  # batch positions of rows of the block `pos` picks
-    return rows + pos.start if isinstance(pos, slice) else pos[rows]
-
-
-def _blocks(sides: np.ndarray, rows, cap: int):
-    """Blocks of at most `cap` of the batch rows `rows` (all when None) as
-    (pos, parts): pos picks the block, a slice (a view) in a batch of one
-    side, else positions ordered by side; parts are its (side, slice)s."""
-    if rows is None and sides.min() == sides.max():
-        for lo in range(0, len(sides), cap):
-            hi = min(lo + cap, len(sides))
-            yield slice(lo, hi), [(int(sides[0]), slice(0, hi - lo))]
-        return
-    rows = np.arange(len(sides)) if rows is None else rows
-    rows = rows[np.argsort(sides[rows], kind="stable")]
-    for lo in range(0, len(rows), cap):
-        pos = rows[lo : lo + cap]
-        cuts = [0, *(np.flatnonzero(np.diff(sides[pos])) + 1).tolist(), len(pos)]
-        yield pos, [(int(sides[pos[a]]), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+                i = int(hit[0])
+                self.breach = Candidate(float(q[i]), seq_start + i, s.cube(i))
 
 
 def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):

@@ -8,8 +8,9 @@ The canonical "wgrid" format is JSON:
 A CSV alternative exists for 1D data: a header line followed by rows
 "index,weight,value"; a first line of three numbers is refused as a
 missing header.  Both loaders send weights and values through one check
-that rejects NaN, infinities, negatives and nested lists and names the
-offending field, so a file that loads is already valid.
+that rejects NaN, infinities, negatives, nested lists and non-numbers
+(JSON booleans, strings, null) and names the offending field, so a file
+that loads is already valid; JSON `dim` and `shape` take integers only.
 """
 
 from __future__ import annotations
@@ -66,13 +67,10 @@ def _load_json(path: Path) -> tuple[WeightedGrid, str]:
         if field not in obj:
             raise DataValidationError(f"{field}: missing")
     try:
-        shape = tuple(int(n) for n in obj["shape"])
-    except (TypeError, ValueError) as exc:
+        shape = tuple(_integer(n, "shape") for n in obj["shape"])
+    except TypeError as exc:
         raise DataValidationError(f"shape: {exc}") from exc
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise DataValidationError(f"dim: {exc}") from exc
+    dim = _integer(obj["dim"], "dim")
     if dim != len(shape):
         raise DataValidationError(f"dim: {obj['dim']} does not match shape of length {len(shape)}")
     grid = Grid(shape)
@@ -81,7 +79,22 @@ def _load_json(path: Path) -> tuple[WeightedGrid, str]:
     return WeightedGrid(grid, weights, values), digest
 
 
+def _integer(raw, field: str) -> int:
+    """A JSON integer (or an integral float); booleans and strings are refused."""
+    try:
+        n = int(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataValidationError(f"{field}: {exc}") from exc
+    if isinstance(raw, (bool, str)) or n != raw:
+        raise DataValidationError(f"{field}: expected an integer, got {raw!r}")
+    return n
+
+
 def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:
+    odd = set(map(type, raw)) - {int, float, list} if isinstance(raw, list) else ()
+    if odd:  # nested lists are refused below, by their shape
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise DataValidationError(f"{field}: expected numbers, got {names}")
     try:
         arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -212,8 +212,18 @@ def test_rh_overlap_from_covering(tmp_path, capsys):
     report = json.loads(out)
     assert report["payload"]["auto"]["overlap"] >= 1
     assert "covering" in report["payload"]
-    code, _, err = run_cli(capsys, "rh", path, "--B-from-covering", "--p", "2")
-    assert code == 2 and "--auto" in err
+    code, out, _ = run_cli(capsys, "rh", path, "--auto", "--delta", "0.01")
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["p"] == payload["auto"]["p_star"]
+    for flags, message in [
+        (["--B-from-covering", "--p", "2"], "--B-from-covering needs --auto"),
+        (["--p", "2", "--delta", "7"], "--delta needs --auto"),
+        (["--p", "2", "--delta", "1e-6"], "--delta needs --auto"),
+        (["--auto", "--p", "2"], "--p conflicts with --auto"),
+    ]:
+        code, out, err = run_cli(capsys, "rh", path, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_covering_commands_reject_nonsquare_grid_before_the_epsilon_scan(

@@ -197,6 +197,16 @@ def test_wgrid_csv_load(tmp_path):
         (lambda o: o.__setitem__("dim", "x"), "dim: invalid literal"),
         (lambda o: o.__setitem__("dim", 2), "dim: 2 does not match"),
         (lambda o: o.__setitem__("weights", [[1.0], [2.0]]), "weights: expected a flat list of 2"),
+        # entries that are not numbers, which numpy would convert
+        (lambda o: o.__setitem__("weights", [True, True]), "weights: expected numbers, got bool"),
+        (lambda o: o.__setitem__("values", [False, True]), "values: expected numbers, got bool"),
+        (lambda o: o.__setitem__("weights", ["1", "2"]), "weights: expected numbers, got str"),
+        (lambda o: o.__setitem__("values", [None, 1.0]), "values: expected numbers, got NoneType"),
+        (lambda o: o.__setitem__("dim", True), "dim: expected an integer, got True"),
+        (lambda o: o.__setitem__("dim", 1.7), "dim: expected an integer, got 1.7"),
+        # would load a 2-cell grid if 2.9 were truncated
+        (lambda o: o.update(dim=1.7, shape=[2.9]), "shape: expected an integer, got 2.9"),
+        (lambda o: o.__setitem__("shape", ["2"]), "shape: expected an integer, got '2'"),
     ],
 )
 def test_loader_rejections(tmp_path, mutate, field):

@@ -231,12 +231,19 @@ def test_family_cubes_decode_the_canonical_order(monkeypatch):
         for mode in modes:
             expected = naive_cubes(grid, mode)
             assert list(enumerate_cubes(grid, mode)) == expected
+            batches = list(iter_origin_batches(grid, mode))
             decoded = [
                 Cube(tuple(o), s)
-                for _, sides, origins in iter_origin_batches(grid, mode, decode=True)
+                for _, sides, origins in batches
                 for s, o in zip(sides.tolist(), origins.tolist())
             ]
             assert decoded == expected
+            # every mode: batches of at most _CHUNK_CUBES, each starting at
+            # the count of cubes before it
+            before = 0
+            for seq_start, sides, origins in batches:
+                assert len(sides) == len(origins) <= 7 and seq_start == before
+                before += len(sides)
 
 
 def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
