@@ -24,7 +24,7 @@ from .ainfty import LevelParams, epsilon_and_profile, verify_ainfty_to_gr, verif
 from .covering import check_square
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
-from .grids import EnumerationMode, default_mode
+from .grids import _CHUNK_CUBES, EnumerationMode, default_mode
 from .holder import (
     TailBoundParams,
     optimize_rh_exponent,
@@ -34,6 +34,7 @@ from .holder import (
 )
 from .oscillation import gr_epsilon
 from .rearrangement import average, evaluate, rearrangement
+from .scan import _CHUNK_CELLS
 from .wgrid_io import file_digest, load_wgrid, save_wgrid
 
 EXIT_OK = 0
@@ -50,16 +51,35 @@ def _dump_report(command: str, digest: str, mode, payload: dict) -> str:
         "mode": mode.to_json() if mode is not None else None,
         "payload": payload,
     }
-    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    try:
+        return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # JSON has no nan or infinity
+        key = next(_non_finite_keys(report))[1:]
+        raise DomainError(f"non-finite report value at {key}") from None
 
 
-def _positive_int(text: str) -> int:
+def _non_finite_keys(obj, key: str = ""):
+    """Key paths of the non-finite floats in sorted-key order, as .a.b[0].c."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield key
+    elif isinstance(obj, (dict, list, tuple)):
+        for k, v in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
+            yield from _non_finite_keys(v, f"{key}.{k}" if isinstance(obj, dict) else f"{key}[{k}]")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every other usage error is
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _positive_int(text: str, limit: float = math.inf) -> int:
     try:
         count = int(text)
     except ValueError:
         count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    if not 1 <= count <= limit:
+        bound = "" if limit == math.inf else f" up to {limit}"
+        raise argparse.ArgumentTypeError(f"need a positive integer{bound}, got {text!r}")
     return count
 
 
@@ -79,15 +99,6 @@ def _mode(text: str) -> EnumerationMode | None:
         return None if text == "auto" else EnumerationMode.parse(text)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--mode", type=_mode, help="auto | all | dyadic | sample:COUNT:SEED")
-    parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted for compatibility and ignored"
-    )
-    parser.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
-    parser.add_argument("--tolerance", type=_tolerance, default=1e-12)
 
 
 def _write_csv(plot_dir: str | None, name: str, header: str, rows) -> None:
@@ -133,6 +144,12 @@ def _cmd_analyze(args, wg, mode):
 
 
 def _cmd_theorem1(args, wg, mode):
+    for flag, value, direction in (
+        ("--epsilon", args.epsilon, "fwd"), ("--lambda", args.lam, "fwd"),
+        ("--alpha", args.alpha, "rev"), ("--beta", args.beta, "rev"),
+    ):
+        if value is not None and direction != args.direction:
+            raise ConfigurationError(f"{flag} needs --direction {direction}")
     if args.direction == "fwd":
         if args.epsilon is None or args.lam is None:
             raise ConfigurationError("forward direction needs --epsilon and --lambda")
@@ -224,15 +241,10 @@ def _measured_overlap(wg, epsilon: float, delta: float):
     overlap of tail_covering at that (lambda, rho) and t = rho * mu(Q_0)."""
     lam, rho, _ = optimize_rh_exponent(epsilon, overlap=1.0, delta=delta)
     _, cover = tail_covering(wg, rearrangement(wg), rho * wg.total_mass, lam, rho)
-    if cover is None:
-        return 1.0, {"rho_lo": None, "rho_hi": None, "overlap": 1, "n_cubes": 0}
-    constants = {
-        "rho_lo": cover.rho_lo,
-        "rho_hi": cover.rho_hi,
-        "overlap": cover.overlap,
-        "n_cubes": len(cover.cubes),
+    return float(cover.overlap), {
+        "rho_lo": cover.rho_lo, "rho_hi": cover.rho_hi,
+        "overlap": cover.overlap, "n_cubes": len(cover.cubes),
     }
-    return float(cover.overlap), constants
 
 
 def _cmd_generate(args) -> int:
@@ -258,50 +270,51 @@ def _cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscgrid",
         description="Oscillation, level-set and rearrangement analysis of weighted grids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flag groups; each subcommand declares only the flags it reads
+    grid, plot, tol = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    grid.add_argument("input")
+    grid.add_argument("--mode", type=_mode, help="auto | all | dyadic | sample:COUNT:SEED")
+    grid.add_argument("--threads", type=_positive_int, default=1, help="ignored; for compatibility")
+    plot.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
+    tol.add_argument("--tolerance", type=_tolerance, default=1e-12)
 
-    p_an = sub.add_parser("analyze", help="epsilon, alpha profile, rearrangement")
-    p_an.add_argument("input")
-    p_an.add_argument("--beta-grid", type=_positive_int, default=19)
-    _common_flags(p_an)
-    p_an.set_defaults(fn=_cmd_analyze)
+    def command(name: str, summary: str, fn, *flags: argparse.ArgumentParser):
+        cmd = sub.add_parser(name, help=summary, parents=[grid, *flags])
+        cmd.set_defaults(fn=fn)
+        return cmd
 
-    p_t1 = sub.add_parser("theorem1", help="verify one implication direction")
-    p_t1.add_argument("input")
+    p_an = command("analyze", "epsilon, alpha profile, rearrangement", _cmd_analyze, plot)
+    # at most 256 levels: a batch's level sums then hold at most _CHUNK_CELLS values
+    levels = _CHUNK_CELLS // _CHUNK_CUBES
+    p_an.add_argument("--beta-grid", type=lambda text: _positive_int(text, levels), default=19)
+
+    p_t1 = command("theorem1", "verify one implication direction", _cmd_theorem1, tol)
     p_t1.add_argument("--direction", choices=("fwd", "rev"), default="fwd")
     p_t1.add_argument("--epsilon", type=float, default=None)
     p_t1.add_argument("--lambda", dest="lam", type=float, default=None)
     p_t1.add_argument("--alpha", type=float, default=None)
     p_t1.add_argument("--beta", type=float, default=None)
-    _common_flags(p_t1)
-    p_t1.set_defaults(fn=_cmd_theorem1)
 
-    p_t2 = sub.add_parser("theorem2", help="verify the rearrangement-average bound")
-    p_t2.add_argument("input")
+    p_t2 = command("theorem2", "verify the rearrangement-average bound", _cmd_theorem2, plot, tol)
     p_t2.add_argument("--epsilon", type=float, required=True)
     p_t2.add_argument("--lambda", dest="lam", type=float, required=True)
     p_t2.add_argument("--rho", type=float, required=True)
     p_t2.add_argument("--t", type=float, nargs="+", required=True)
-    _common_flags(p_t2)
-    p_t2.set_defaults(fn=_cmd_theorem2)
 
-    p_rh = sub.add_parser("rh", help="empirical reverse Holder constant")
-    p_rh.add_argument("input")
+    p_rh = command("rh", "empirical reverse Holder constant", _cmd_rh, plot)
     p_rh.add_argument("--p", type=float, default=None)
     p_rh.add_argument("--auto", action="store_true")
     p_rh.add_argument("--B-from-covering", dest="b_from_covering", action="store_true")
     p_rh.add_argument("--delta", type=float, default=None)  # 1e-6 under --auto
-    _common_flags(p_rh)
-    p_rh.set_defaults(fn=_cmd_rh)
 
     p_gen = sub.add_parser("generate", help="write a wgrid file from a generator spec")
     p_gen.add_argument("--spec", required=True, help="JSON spec or @path to one")
     p_gen.add_argument("--out", required=True)
-    _common_flags(p_gen)
     return parser
 
 

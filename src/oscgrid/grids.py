@@ -351,7 +351,7 @@ def enumerate_cubes(grid: Grid, mode: EnumerationMode) -> Iterator[Cube]:
     lexicographic origin; sampled cubes come in draw order.  Two runs with
     identical inputs produce identical sequences.
     """
-    for _, sides, origins in iter_origin_batches(grid, mode):
+    for sides, origins in iter_origin_batches(grid, mode):
         for side, row in zip(sides.tolist(), origins.tolist()):
             yield Cube(tuple(row), side)
 
@@ -362,8 +362,8 @@ _CHUNK_CUBES = 1 << 13
 
 def iter_origin_batches(
     grid: Grid, mode: EnumerationMode
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Batched form of enumerate_cubes: (seq_start, sides (k,), origins (k, dim)).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batched form of enumerate_cubes: (sides (k,), origins (k, dim)).
 
     Batches partition the canonical sequence in order, which is what the
     deterministic scan reductions rely on.  Every family comes in batches
@@ -378,7 +378,7 @@ def iter_origin_batches(
     total = int(family_counts(grid, mode)[2][-1]) if drawn is None else len(drawn)
     for lo in range(0, total, _CHUNK_CUBES):
         seq = np.arange(lo, min(lo + _CHUNK_CUBES, total))
-        yield (lo, *family_cubes(grid, mode, seq if drawn is None else drawn[seq]))
+        yield family_cubes(grid, mode, seq if drawn is None else drawn[seq])
 
 
 def sample_positions(grid: Grid, mode: EnumerationMode) -> np.ndarray:

@@ -48,7 +48,7 @@ from .ainfty import DEFAULT_TOL, _check_open_interval
 from .covering import CoveringResult, build_covering, cell_set, check_square
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, Report, WeightedGrid, box_sums, default_mode, _prefix_table
-from .oscillation import OscStats, gr_epsilon, oscillation, require_gr
+from .oscillation import _cube_moments, gr_epsilon, require_gr
 from .rearrangement import StepFunction, average, evaluate, rearrangement
 from . import scan
 
@@ -179,13 +179,13 @@ class TailBoundReport(Report):
 
 def tail_covering(
     wg: WeightedGrid, sf: StepFunction, t: float, lam: float, rho: float
-) -> tuple[float, CoveringResult | None]:
+) -> tuple[float, CoveringResult]:
     """fstar(t) and the covering of E_t = {value > fstar(t)} with density cap
-    1 - lambda/2, None when fstar(t) is 0.  E_t is strict, matching the
+    1 - lambda/2, empty when fstar(t) is 0.  E_t is strict, matching the
     right-continuous rearrangement, so mu(E_t) <= t holds with atoms."""
     fstar = float(evaluate(sf, t))
     if fstar == 0.0:
-        return fstar, None
+        return 0.0, CoveringResult((), None, None, 1, True)
     target = cell_set(wg, wg.values > fstar)
     return fstar, build_covering(wg, target, rho=rho, rho_cap=1 - lam / 2)
 
@@ -199,12 +199,12 @@ def verify_rearrangement_bound(
     """Run the full average-vs-rearrangement verification at each t.
 
     Per t: cover E_t (see tail_covering), re-check the oscillation
-    inequality on every covering cube, record the two per-cube margins, and assert
-    fstarstar(t) <= K_achieved * fstar(t).  A zero fstar(t) (possible only
-    for data vanishing mu-a.e.) is recorded as degenerate, not asserted.
-    The statistics of a cube that recurs in the coverings of several t are
-    computed once.  The grid shape and the t range are checked before the
-    epsilon scan.
+    inequality on every covering cube, record the worst of the two per-cube
+    margins, and assert fstarstar(t) <= K_achieved * fstar(t).  A zero
+    fstar(t) has the empty covering and is recorded as degenerate; it holds
+    exactly when fstarstar(t) is 0.  The mean and oscillation of a cube that
+    recurs in the coverings of several t are computed once.  The grid shape
+    and the t range are checked before the epsilon scan.
     """
     check_square(wg.grid)
     total = wg.total_mass
@@ -217,30 +217,18 @@ def verify_rearrangement_bound(
     sf = rearrangement(wg)
     eps, lam, rho = params.epsilon, params.lam, params.rho
     checks = []
-    cube_stats: dict[Cube, OscStats] = {}  # covering cubes recur across t
+    cube_stats: dict[Cube, tuple[float, float]] = {}  # (mean, osc); cubes recur across t
     for t in params.t_values:
         fstar, cover = tail_covering(wg, sf, t, lam, rho)
         fss = float(average(sf, t))
-        if cover is None:
-            checks.append(
-                TailCheck(
-                    t=t, fstar=0.0, fstarstar=fss,
-                    k_nominal=_k_formula(eps, lam, rho, 1.0),
-                    k_achieved=_k_formula(eps, lam, rho, 1.0),
-                    mean_margin=None, osc_margin=None,
-                    rho_lo=None, rho_hi=None, overlap=1, n_cubes=0,
-                    holds=bool(fss == 0.0), degenerate=True,
-                )
-            )
-            continue
-        stats = []
         for cube in cover.cubes:
             if cube not in cube_stats:
-                cube_stats[cube] = oscillation(wg, cube)
-            stats.append(cube_stats[cube])
-        failed = [i for i, s in enumerate(stats) if s.osc > eps * s.mean * (1 + 1e-12)]
+                w, v, mass, m = _cube_moments(wg, cube)
+                cube_stats[cube] = m, math.fsum(w * np.abs(v - m)) / mass
+        stats = [cube_stats[cube] for cube in cover.cubes]
+        failed = [i for i, (m, osc) in enumerate(stats) if osc > eps * m * (1 + 1e-12)]
         if failed:
-            ratios = [s.osc / s.mean for s in stats]
+            ratios = [osc / m for m, osc in stats]
             raise PreconditionError(
                 f"input not in GR({eps}) on covering cube {cover.cubes[failed[0]]}: "
                 f"osc/mean = {ratios[failed[0]]}; the largest over the {len(stats)} "
@@ -249,21 +237,20 @@ def verify_rearrangement_bound(
                    f"{mode.label()} family, which does not contain the covering cubes"),
                 witness=cover.cubes[failed[0]],
             )
-        mean_margins = [lam / (lam - eps) * fstar - s.mean for s in stats]
-        osc_margins = [eps * lam / (lam - eps) * fstar - s.osc for s in stats]
+        # c - max(x) is the least margin c - x, as rounding is monotone
+        top = [max(column) for column in zip(*stats)]  # (mean, osc); [] if no cube
         rho_eff = cover.rho_lo if cover.rho_lo is not None and cover.rho_lo > 0 else rho
         k_achieved = _k_formula(eps, lam, rho_eff, cover.overlap)
-        k_nominal = _k_formula(eps, lam, rho, cover.overlap)
         checks.append(
             TailCheck(
                 t=t, fstar=fstar, fstarstar=fss,
-                k_nominal=k_nominal, k_achieved=k_achieved,
-                mean_margin=min(mean_margins) if mean_margins else None,
-                osc_margin=min(osc_margins) if osc_margins else None,
+                k_nominal=_k_formula(eps, lam, rho, cover.overlap), k_achieved=k_achieved,
+                mean_margin=lam / (lam - eps) * fstar - top[0] if top else None,
+                osc_margin=eps * lam / (lam - eps) * fstar - top[1] if top else None,
                 rho_lo=cover.rho_lo, rho_hi=cover.rho_hi,
                 overlap=cover.overlap, n_cubes=len(cover.cubes),
                 holds=bool(k_achieved * fstar - fss >= -tol * fstar),
-                degenerate=False,
+                degenerate=fstar == 0.0,
             )
         )
     return TailBoundReport(

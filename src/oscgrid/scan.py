@@ -50,10 +50,9 @@ _CHUNK_CELLS = 1 << 21
 
 
 class Candidate(NamedTuple):
-    """Extremum candidate: value, canonical sequence position, cube."""
+    """Extremum candidate: value and cube."""
 
     value: float
-    seq: int
     cube: Cube
 
 
@@ -184,7 +183,7 @@ def reduce_family(
     runs = [_Running(red, sum(r.level is not None for r in reds[:i])) for i, red in enumerate(reds)]
     kernel = levels.size > 0 or any(red.osc for red in reds)
     cubes = 0
-    for seq_start, sides, origins in iter_origin_batches(wg.grid, mode):
+    for sides, origins in iter_origin_batches(wg.grid, mode):
         stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins))
         cubes += len(sides)
         need = np.full(len(sides), kernel and index is None)
@@ -211,7 +210,7 @@ def reduce_family(
                 thresholds=levels[:, None] * stats.mean[part], masses=stats.mass[part],
             )
         for run in runs:
-            run.fold(stats, seq_start, osc, lvl)
+            run.fold(stats, osc, lvl)
     for run in runs:
         if run.best is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
@@ -228,7 +227,7 @@ class _Running:
         self.best = self.bound = self.breach = None
         self.holds, self.skipped = True, 0
 
-    def fold(self, s: CubeStats, seq_start: int, osc, lvl) -> None:
+    def fold(self, s: CubeStats, osc, lvl) -> None:
         """Fold in a batch whose stats are `s` and kernel sums osc and lvl."""
         ext, below, maybe = (None if m is None or not m.any() else m for m in self.open)
         if ext is None and below is None and maybe is None:
@@ -240,7 +239,7 @@ class _Running:
             masked = np.where(ext, values, -np.inf if red.maximize else np.inf)
             i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
             if self.best is None or better(values[i], self.best.value):
-                self.best = Candidate(float(values[i]), seq_start + i, s.cube(i))
+                self.best = Candidate(float(values[i]), s.cube(i))
                 if self.bound is None or better(values[i], self.bound):
                     self.bound = self.best.value
         if below is not None:
@@ -250,7 +249,7 @@ class _Running:
             hit = np.flatnonzero(maybe & (q <= red.breach[1]))
             if hit.size:  # always, when the screen saw a certain breach
                 i = int(hit[0])
-                self.breach = Candidate(float(q[i]), seq_start + i, s.cube(i))
+                self.breach = Candidate(float(q[i]), s.cube(i))
 
 
 def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):

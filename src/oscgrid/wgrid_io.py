@@ -152,7 +152,7 @@ def save_wgrid(wg: WeightedGrid, path: str | Path) -> None:
     obj = {
         "dim": wg.grid.dim,
         "shape": list(wg.grid.shape),
-        "weights": [float(x) for x in wg.weights.ravel()],
-        "values": [float(x) for x in wg.values.ravel()],
+        "weights": wg.weights.ravel().tolist(),
+        "values": wg.values.ravel().tolist(),
     }
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")

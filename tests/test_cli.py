@@ -1,13 +1,16 @@
 import hashlib
 import importlib
 import json
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscgrid import EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent
 from oscgrid import grids, scan
-from oscgrid.cli import main
+from oscgrid.cli import build_parser, main
 from oscgrid.wgrid_io import save_wgrid
 
 
@@ -224,6 +227,16 @@ def test_rh_overlap_from_covering(tmp_path, capsys):
         code, out, err = run_cli(capsys, "rh", path, *flags)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    # a spike's tail above fstar(rho * mu(Q_0)) = 0 has mass 1/16 < rho: the empty covering
+    values = [0.0] * 16
+    values[3] = 1.0
+    spike = tmp_path / "spike.json"
+    spike.write_text(json.dumps({"dim": 1, "shape": [16], "weights": [1 / 16] * 16,
+                                 "values": values}))
+    code, out, _ = run_cli(capsys, "rh", str(spike), "--auto", "--B-from-covering")
+    assert code == 0
+    assert '"covering":{"n_cubes":0,"overlap":1,"rho_hi":null,"rho_lo":null}' in out
+    assert json.loads(out)["payload"]["auto"]["overlap"] == 1.0
 
 
 def test_covering_commands_reject_nonsquare_grid_before_the_epsilon_scan(
@@ -415,18 +428,88 @@ def test_theorem2_names_the_family_a_covering_cube_is_missing_from(tmp_path, cap
     assert "measured over the dyadic family, which does not contain the covering cubes" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--beta-grid", "0"],
-    ["analyze", "--beta-grid", "-1"],
-    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "nan"],
-    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "inf"],
-    ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "-1"],
-    ["analyze", "--mode", "sample:5:-1"],
-])
-def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv):
-    path = write_two_cell(tmp_path)
-    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+_USAGE_ERRORS = [
+    *[(argv, f"argument {argv[-2]}: ") for argv in [
+        ["analyze", "--beta-grid", "0"],
+        ["analyze", "--beta-grid", "-1"],
+        ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "nan"],
+        ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "inf"],
+        ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "-1"],
+        ["analyze", "--mode", "sample:5:-1"],
+        ["analyze", "--beta-grid", "257"],
+    ]],
+    # flags a command does not read
+    *[(argv, f"unrecognized arguments: {' '.join(argv[-2:])}") for argv in [
+        ["generate", "--mode", "all"],
+        ["generate", "--threads", "1"],
+        ["generate", "--plot-dir", "d"],
+        ["generate", "--tolerance", "1e-9"],
+        ["analyze", "--tolerance", "1e-9"],
+        ["rh", "--p", "2", "--tolerance", "1e-9"],
+        ["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--plot-dir", "d"],
+    ]],
+    # theorem1 reads one direction's pair of flags
+    (["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--alpha", "0.5"],
+     "--alpha needs --direction rev"),
+    (["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--beta", "0.5"],
+     "--beta needs --direction rev"),
+    (["theorem1", "--direction", "rev", "--alpha", "0.5", "--beta", "0.5", "--epsilon", "1"],
+     "--epsilon needs --direction fwd"),
+    (["theorem1", "--direction", "rev", "--alpha", "0.5", "--beta", "0.5", "--lambda", "1"],
+     "--lambda needs --direction fwd"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))]
+)
+def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv, message):
+    if argv[0] == "generate":
+        spec = json.dumps({"kind": "spike", "shape": [4],
+                           "kind_params": {"height": 1, "position": 0}})
+        head = ["generate", "--spec", spec, "--out", str(tmp_path / "out.json")]
+    else:
+        head = [argv[0], write_two_cell(tmp_path)]
+    code, out, err = run_cli(capsys, *head, *argv[1:])
     assert code == 2
     assert out == ""
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and f"argument {argv[-2]}: " in errors[0]
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_every_benchmark_command_line_parses():
+    """A flag dropped from a command must not break the benchmark's command lists."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
+    params = {"rev_alpha": 0.1, "rev_beta": 0.5, "rho": 0.2, "total_mass": 1.0,
+              "epsilon": 0.5, "lambda": 1.2}
+    report = {"payload": {"gr": {"epsilon": 0.5},
+                          "alpha_profile": [{"alpha_star": 0.2, "beta": 0.5}] * 2}}
+    parser = build_parser()
+    commands = 0
+    for workload in ("oned-all", "twod-dyadic", "cover-2d", "sampled"):
+        for step in workloads.steps(workload, "in", params):
+            args = parser.parse_args(step.argv(defaultdict(lambda: report)))
+            commands += 1
+            if args.command == "theorem1":  # only the direction's own pair
+                fwd = args.direction == "fwd"
+                other = (args.alpha, args.beta) if fwd else (args.epsilon, args.lam)
+                assert other == (None, None), step.name
+    assert commands == 18
+
+
+def test_non_finite_report_value_is_a_usage_error(tmp_path, capsys):
+    # rho_lo of the covering is about 1e-309, so lambda/rho_lo overflows
+    weights, values = [1.0] * 16, np.linspace(1, 1.1, 16).tolist()
+    weights[5], values[5] = 1e-309, 3.0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [16], "weights": weights, "values": values}))
+    code, out, err = run_cli(capsys, "theorem2", str(path), "--mode", "all", "--epsilon", "0.2",
+                             "--lambda", "1.0", "--rho", "0.3", "--t", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite report value at payload.per_t[0].k_achieved\n"

@@ -231,6 +231,17 @@ def test_verify_tail_bound_degenerate_zero_function():
     report = verify_rearrangement_bound(wg, params, ALL)
     assert report.checks[0].degenerate
     assert report.checks[0].holds  # fstarstar is 0 as well
+    k = rearrangement_bound(0.5, 1.0, 0.25)
+    expected = {
+        "t": 0.2, "fstar": 0.0, "fstarstar": 0.0, "k_nominal": k, "k_achieved": k,
+        "mean_margin": None, "osc_margin": None, "rho_lo": None, "rho_hi": None,
+        "overlap": 1, "n_cubes": 0, "holds": True, "degenerate": True,
+    }
+    got = report.checks[0].to_json()
+    assert list(got) == list(expected)
+    for field, value in expected.items():  # repr tells 0.0 from -0.0 and 1 from 1.0
+        assert repr(got[field]) == repr(value), field
+    assert report.to_json()["covering_constants"] == {"rho_lo": None, "rho_hi": None, "overlap": 1}
 
 
 def test_verify_tail_bound_rejects_large_t(two_cell):
@@ -249,9 +260,9 @@ def test_tail_params_validation():
 
 
 def test_each_distinct_covering_cube_is_rechecked_once(monkeypatch):
-    """Timing-free guard on a 64 x 64 grid: oscillation() runs once per
-    distinct covering cube across the t-values, and every t's margins equal
-    a fresh per-cube loop."""
+    """Timing-free guard on a 64 x 64 grid: a cube's moments are summed once
+    per distinct covering cube across the t-values, and every t's margins
+    equal a fresh per-cube loop."""
     rng = np.random.default_rng(80)
     wg = random_float_grid(rng, (64, 64), log_sigma=0.1)
     eps = 0.5
@@ -259,11 +270,13 @@ def test_each_distinct_covering_cube_is_rechecked_once(monkeypatch):
     ts = tuple(k * rho * wg.total_mass / 20 for k in range(1, 7))
     seen = []
 
+    moments = holder._cube_moments
+
     def counted(wg_, cube):
         seen.append(cube)
-        return oscillation(wg_, cube)
+        return moments(wg_, cube)
 
-    monkeypatch.setattr(holder, "oscillation", counted)
+    monkeypatch.setattr(holder, "_cube_moments", counted)
     params = TailBoundParams(eps, lam, rho, ts)
     report = verify_rearrangement_bound(wg, params, EnumerationMode.dyadic())
     sf = rearrangement(wg)
