@@ -23,12 +23,7 @@ from .ainfty import (
     verify_gr_to_ainfty,
 )
 from .covering import CellSet, CoveringResult, build_covering, cell_set, overlap_constant
-from .errors import (
-    ConfigurationError,
-    DataValidationError,
-    DomainError,
-    PreconditionError,
-)
+from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate, measured_epsilon
 from .grids import (
     Cube,

@@ -20,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ainfty import LevelParams, epsilon_and_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
+from .ainfty import (
+    DEFAULT_TOL, LevelParams, epsilon_and_profile, verify_ainfty_to_gr, verify_gr_to_ainfty
+)
 from .covering import check_square
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
 from .generators import GenSpec, generate
-from .grids import _CHUNK_CUBES, EnumerationMode, default_mode
+from .grids import EnumerationMode, default_mode
 from .holder import (
     TailBoundParams,
     optimize_rh_exponent,
@@ -34,7 +36,7 @@ from .holder import (
 )
 from .oscillation import gr_epsilon
 from .rearrangement import average, evaluate, rearrangement
-from .scan import _CHUNK_CELLS
+from .scan import MAX_LEVELS
 from .wgrid_io import file_digest, load_wgrid, save_wgrid
 
 EXIT_OK = 0
@@ -68,6 +70,9 @@ def _non_finite_keys(obj, key: str = ""):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # whole flag names only: --p is not --plot-dir
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # one line, as every other usage error is
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--mode", type=_mode, help="auto | all | dyadic | sample:COUNT:SEED")
     grid.add_argument("--threads", type=_positive_int, default=1, help="ignored; for compatibility")
     plot.add_argument("--plot-dir", default=None, help="directory for CSV plot data")
-    tol.add_argument("--tolerance", type=_tolerance, default=1e-12)
+    tol.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
 
     def command(name: str, summary: str, fn, *flags: argparse.ArgumentParser):
         cmd = sub.add_parser(name, help=summary, parents=[grid, *flags])
@@ -289,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     p_an = command("analyze", "epsilon, alpha profile, rearrangement", _cmd_analyze, plot)
-    # at most 256 levels: a batch's level sums then hold at most _CHUNK_CELLS values
-    levels = _CHUNK_CELLS // _CHUNK_CUBES
-    p_an.add_argument("--beta-grid", type=lambda text: _positive_int(text, levels), default=19)
+    p_an.add_argument("--beta-grid", type=lambda text: _positive_int(text, MAX_LEVELS), default=19)
 
     p_t1 = command("theorem1", "verify one implication direction", _cmd_theorem1, tol)
     p_t1.add_argument("--direction", choices=("fwd", "rev"), default="fwd")

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .grids import Cube, Grid, Report, WeightedGrid, _prefix_table, box_sums
+from .grids import Cube, Grid, Report, WeightedGrid, _corners, _prefix_table, box_sums
 
 __all__ = ["CellSet", "CoveringResult", "cell_set", "build_covering", "overlap_constant"]
 
@@ -153,17 +153,17 @@ def build_covering(
 
 def _cover_counts(cubes: Sequence[Cube], grid: Grid) -> np.ndarray:
     """Number of cubes containing each cell: a signed +-1 at the 2^dim
-    corners of every cube in one integer difference array, then a running
-    sum along each axis."""
+    corners of every cube in one integer difference array, +1 at the low
+    corner, then a running sum along each axis."""
     dim = grid.dim
     diff = np.zeros(tuple(n + 1 for n in grid.shape), dtype=np.int64)
     if cubes:
         origins = np.asarray([c.origin for c in cubes], dtype=np.int64)
         sides = np.asarray([c.side for c in cubes], dtype=np.int64)
-        for corner in range(1 << dim):
-            bits = [corner >> axis & 1 for axis in range(dim)]
-            idx = tuple(origins[:, axis] + bits[axis] * sides for axis in range(dim))
-            np.add.at(diff, idx, (-1) ** sum(bits))
+        ends = (origins.T, origins.T + sides)
+        for sign, bits in _corners(dim):  # box_sums' signs times the low corner's
+            idx = tuple([ends[high][axis] for axis, high in enumerate(bits)])
+            np.add.at(diff, idx, int(sign) * (-1) ** dim)
     for axis in range(dim):
         diff = np.cumsum(diff, axis=axis)
     return diff[tuple(slice(0, n) for n in grid.shape)]

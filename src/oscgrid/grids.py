@@ -16,6 +16,8 @@ in the way.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -83,10 +85,7 @@ class Grid:
 
     @property
     def ncells(self) -> int:
-        out = 1
-        for n in self.shape:
-            out *= n
-        return out
+        return math.prod(self.shape)
 
     @property
     def min_side(self) -> int:
@@ -164,11 +163,8 @@ class EnumerationMode(Report):
         if text == "dyadic":
             return cls.dyadic()
         if text.startswith("sample:"):
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ConfigurationError("sample mode syntax is sample:COUNT:SEED")
             try:
-                count, seed = int(parts[1]), int(parts[2])
+                count, seed = map(int, text.split(":")[1:])
             except ValueError as exc:
                 raise ConfigurationError("sample mode syntax is sample:COUNT:SEED") from exc
             return cls.sample(count, seed)
@@ -213,26 +209,27 @@ def _prefix_table(cells: np.ndarray) -> np.ndarray:
     for axis in range(table.ndim):
         np.cumsum(table, axis=axis, out=table)
     padded = np.zeros(tuple(n + 1 for n in table.shape), dtype=np.float64)
-    padded[tuple(slice(1, None) for _ in range(table.ndim))] = table.astype(np.float64)
+    with np.errstate(over="ignore"):  # a sum past float64 lands as inf, refused by its reader
+        padded[tuple(slice(1, None) for _ in range(table.ndim))] = table.astype(np.float64)
     padded.setflags(write=False)
     return padded
 
 
+@functools.cache
+def _corners(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """The 2^dim corners of a box as (sign, bits), bits[axis] = 1 on the
+    high side of that axis: the signed sum of a padded prefix table over the
+    corners is the box sum (inclusion-exclusion)."""
+    bits = [tuple(corner >> axis & 1 for axis in range(dim)) for corner in range(1 << dim)]
+    return tuple((-1.0 if (dim - sum(b)) % 2 else 1.0, b) for b in bits)
+
+
 def box_sums(padded: np.ndarray, origins: np.ndarray, side: int) -> np.ndarray:
     """Sum of the underlying cells over each cube (origins: (k, dim) ints)."""
-    dim = padded.ndim
     out = np.zeros(origins.shape[0], dtype=np.float64)
-    for corner in range(1 << dim):
-        idx = []
-        high = 0
-        for axis in range(dim):
-            if corner >> axis & 1:
-                idx.append(origins[:, axis] + side)
-                high += 1
-            else:
-                idx.append(origins[:, axis])
-        sign = 1.0 if (dim - high) % 2 == 0 else -1.0
-        out += sign * padded[tuple(idx)]
+    ends = (origins.T, origins.T + side)  # per axis, the low and the high index
+    for sign, bits in _corners(padded.ndim):
+        out += sign * padded[tuple([ends[high][axis] for axis, high in enumerate(bits)])]
     return out
 
 
@@ -241,7 +238,7 @@ class WeightedGrid:
 
     Arrays are stored read-only in grid shape (row-major); prefix tables for
     the weights and the weight*value products, and for 1D grids the
-    range-threshold index, are built lazily and cached.
+    range-threshold index, are built on first use and cached.
     """
 
     def __init__(self, grid: Grid, weights, values):
@@ -252,35 +249,26 @@ class WeightedGrid:
         v.setflags(write=False)
         self.weights = w
         self.values = v
-        self._w_prefix: np.ndarray | None = None
-        self._wv_prefix: np.ndarray | None = None
-        self._threshold_index = None
         self.source_digest: str | None = None  # sha256 of the file it was loaded from
 
-    @property
+    @functools.cached_property
     def w_prefix(self) -> np.ndarray:
-        if self._w_prefix is None:
-            self._w_prefix = _prefix_table(self.weights)
-        return self._w_prefix
+        return _prefix_table(self.weights)
 
-    @property
+    @functools.cached_property
     def wv_prefix(self) -> np.ndarray:
-        if self._wv_prefix is None:
-            self._wv_prefix = _prefix_table(self.weights * self.values)
-        return self._wv_prefix
+        return _prefix_table(self.weights * self.values)
 
     @property
     def total_mass(self) -> float:
         return float(self.w_prefix[tuple(-1 for _ in range(self.grid.dim))])
 
-    @property
+    @functools.cached_property
     def threshold_index(self):
-        """Range-threshold index of a 1D grid (see rangesum), built on first use."""
-        if self._threshold_index is None:
-            from .rangesum import RangeThresholdIndex  # rangesum builds on this module
+        """Range-threshold index of a 1D grid (see rangesum)."""
+        from .rangesum import RangeThresholdIndex  # rangesum builds on this module
 
-            self._threshold_index = RangeThresholdIndex(self.weights, self.values)
-        return self._threshold_index
+        return RangeThresholdIndex(self.weights, self.values)
 
 
 @dataclass(frozen=True)

@@ -272,18 +272,22 @@ def rh_constant(
     if not 1 < p < math.inf:
         raise DomainError(f"exponent must be finite and satisfy p > 1, got {p}")
     mode = mode or default_mode(wg.grid)
-    with np.errstate(over="ignore"):  # overflow shows up as a non-finite c_hat
-        wvp_prefix = _prefix_table(wg.weights * wg.values**p)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows up as a non-finite c_hat
+        wvp = np.where(wg.weights > 0, wg.weights * wg.values**p, 0.0)  # no mass, no 0 * inf
+    wvp_prefix = _prefix_table(wvp)
     inv_p = 1.0 / p
 
-    def ratio(s: scan.CubeStats) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            psum = box_sums(wvp_prefix, s.origins, s.sides)
-            return (psum / s.mass) ** inv_p / s.mean
+    def ratio(s: scan.CubeStats) -> np.ndarray:  # a ratio past float64 is refused below
+        psum = box_sums(wvp_prefix, s.origins, s.sides)
+        return (psum / s.mass) ** inv_p / s.mean
 
     best = scan.reduce_family(wg, mode, (scan.Reduction(ratio, maximize=True),))[0].best
     if not math.isfinite(best.value):
         raise DomainError(
-            f"c_hat is not finite at p={p}: Sum w*v^p overflows float64 on cube {best.cube}"
+            f"c_hat is not finite at p={p}: Sum w*v^p or the ratio overflows on cube {best.cube}"
         )
+    lost = np.argwhere((wvp == 0) & (wg.weights > 0) & (wg.values > 0))
+    if lost.size:
+        cell = tuple(lost[0].tolist())
+        raise DomainError(f"c_hat is not measurable at p={p}: w*v^p underflows on cell {cell}")
     return best.value, best.cube

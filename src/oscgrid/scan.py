@@ -37,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .grids import (
+    _CHUNK_CUBES,
     Cube,
     EnumerationMode,
     WeightedGrid,
@@ -47,6 +48,7 @@ from .grids import (
 # cap on cells materialized per chunk; ~16 MB of float64 keeps the window
 # temporaries cache-friendly (measured 2x faster than 64 MB chunks)
 _CHUNK_CELLS = 1 << 21
+MAX_LEVELS = _CHUNK_CELLS // _CHUNK_CUBES  # level thresholds per cube that a batch can hold
 
 
 class Candidate(NamedTuple):
@@ -234,7 +236,8 @@ class _Running:
             return
         red = self.red
         s = s._replace(osc=osc, lvl=None if red.level is None else lvl[self.row])
-        values, better = red.value(s), np.greater if red.maximize else np.less
+        with np.errstate(all="ignore"):  # a value past float64 reads inf or nan, as reported
+            values, better = red.value(s), np.greater if red.maximize else np.less
         if ext is not None:
             masked = np.where(ext, values, -np.inf if red.maximize else np.inf)
             i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
@@ -263,7 +266,8 @@ def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction
 
 
 def _bracket(fn, low: CubeStats, high: CubeStats):
-    a, b = fn(low), fn(high)
+    with np.errstate(all="ignore"):  # an end past float64 is infinite: the cube stays open
+        a, b = fn(low), fn(high)
     return np.minimum(a, b), np.maximum(a, b)
 
 

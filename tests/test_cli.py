@@ -89,6 +89,16 @@ def test_theorem1_fwd(tmp_path, capsys):
     assert report["payload"]["report"]["worst_margin"] == 0.5
 
 
+def test_theorem1_reads_a_valid_tolerance(tmp_path, capsys):
+    path = write_two_cell(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "theorem1", path, "--epsilon", "1", "--lambda", "1.5", "--tolerance", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["payload"]["report"]["tolerance"] == 0.0
+    assert '"tolerance":0.0' in out
+
+
 def test_theorem1_fwd_usage_error(tmp_path, capsys):
     path = write_two_cell(tmp_path)
     code, _, err = run_cli(
@@ -327,6 +337,95 @@ def test_rh_non_finite_c_hat_is_a_domain_error(tmp_path, capsys):
     assert err.startswith("error: c_hat is not finite") and err.count("\n") == 1
 
 
+def test_rh_underflowing_power_sums_are_a_domain_error(tmp_path, capsys):
+    # v about 2^-1000: v^p underflows to 0 where w*v^p would be about 1e-600
+    rng = np.random.default_rng(3)
+    weights = np.exp(rng.standard_normal(64))
+    weights /= weights.sum()
+    values = np.exp(rng.standard_normal(64))
+    plain, tiny = tmp_path / "plain.json", tmp_path / "tiny.json"
+    save_wgrid(WeightedGrid(Grid((64,)), weights, values), plain)
+    save_wgrid(WeightedGrid(Grid((64,)), weights, values * 2.0**-1000), tiny)
+    code, out, _ = run_cli(capsys, "rh", str(plain), "--mode", "all", "--p", "2")
+    assert code == 0 and round(json.loads(out)["payload"]["c_hat"], 5) == 2.02607
+    for p in ("2", "1.5"):
+        code, out, err = run_cli(capsys, "rh", str(tiny), "--mode", "all", "--p", p)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: c_hat is not measurable at p={float(p)}: "
+                       "w*v^p underflows on cell (0,)\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["theorem2", "--epsilon", "0.2", "--lambda", "1.2", "--rho", "0.01", "--t", "1e-300"],
+    ["rh", "--p", "2"],
+])
+def test_weights_whose_total_overflows_are_one_error_line(tmp_path, capsys, argv):
+    # Sum w = 2e308: no float warning on the way to the refusal
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"dim": 2, "shape": [2, 2], "weights": [0, 0, 1e308, 1e308],
+                                "values": [0, 0, 0, 0]}))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid totals overflow float64: Sum w = inf, 2*Sum w*v = 0.0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rh_reads_no_v_to_the_p_on_cells_without_mass(tmp_path, capsys):
+    # 1462495^50 overflows, but on a cell of weight 0, so every Sum w*v^p is finite
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [4], "weights": [0, 1, 1, 1],
+                                "values": [1462495.0, 1, 2, 3]}))
+    code, out, err = run_cli(capsys, "rh", str(path), "--p", "50")
+    assert code == 0 and err.count("\n") == 1
+    payload = json.loads(out)["payload"]
+    assert payload["c_hat"] == pytest.approx(((1 + 2**50 + 3**50) / 3) ** (1 / 50) / 2, rel=1e-14)
+    assert payload["witness"] == {"origin": [1], "side": 3}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rh_ratio_past_float64_is_one_error_line(tmp_path, capsys):
+    # the 2x2 cube's mean is about 1e-315, so its ratio, about mean^(1/p - 1), is past float64
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 2, "shape": [2, 3], "weights": [0, 0, 0, 0, 1e-12, 1e303],
+                                "values": [0, 0, 0, 0, 1, 0]}))
+    code, out, err = run_cli(capsys, "rh", str(path), "--p", "50")
+    assert code == 2 and out == ""
+    assert err == ("error: c_hat is not finite at p=50.0: Sum w*v^p or the ratio overflows "
+                   "on cube Cube(origin=(0, 1), side=2)\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_margins_past_float64_raise_no_warning(tmp_path, capsys):
+    # cube [0] has mean 1e308, so its rev margin 1.9 * mean is past float64 and never the worst
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [2], "weights": [5e-324, 1],
+                                "values": [1e308, 1]}))
+    code, out, err = run_cli(capsys, "theorem1", str(path), "--direction", "rev",
+                             "--alpha", "0.1", "--beta", "0.5")
+    assert code == 0 and err.count("\n") == 1
+    report = json.loads(out)["payload"]["report"]
+    assert report["worst_margin"] == 1.9 and report["witness"] == {"origin": [1], "side": 1}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_brackets_on_subnormal_masses_raise_no_warning(tmp_path, capsys):
+    # the screen's error radius over a mass of 5e-324 brackets the ratio with inf
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [3], "weights": [0, 5e-324, 1],
+                                "values": [0, 1, 0]}))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--beta-grid", "2")
+    assert code == 0 and err.count("\n") == 1
+    assert json.loads(out)["payload"]["gr"]["epsilon"] == 2.0
+    path.write_text(json.dumps({"dim": 1, "shape": [2], "weights": [5e-324, 1], "values": [0, 0]}))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--beta-grid", "2")
+    assert code == 2 and out == ""
+    assert err == "error: empty measure: no cube has positive mass and positive mean\n"
+
+
 def test_input_is_read_once(tmp_path, capsys, monkeypatch):
     # the report's digest is the sha256 of the bytes the loader parsed
     def second_read(*args):
@@ -457,7 +556,35 @@ _USAGE_ERRORS = [
      "--epsilon needs --direction fwd"),
     (["theorem1", "--direction", "rev", "--alpha", "0.5", "--beta", "0.5", "--lambda", "1"],
      "--lambda needs --direction fwd"),
+    # whole flag names only: no abbreviation of the command's own flags
+    (["analyze", "--beta", "0.5"], "unrecognized arguments: --beta 0.5"),
+    (["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tol", "0.1"],
+     "unrecognized arguments: --tol 0.1"),
+    # refusals past the parser
+    (["theorem1", "--epsilon", "1.5"], "forward direction needs --epsilon and --lambda"),
+    (["theorem1", "--direction", "rev", "--alpha", "0.5"],
+     "reverse direction needs --alpha and --beta"),
+    (["rh"], "need --p or --auto"),
+    (["rh", "const.json", "--auto"], "measured epsilon is 0 (constant data)"),
+    (["rh", "--auto", "--delta", "2"], "need 0 < delta < 1, got 2.0"),
+    (["analyze", "zero.json"], "error: zero total mass"),
+    (["analyze", "list.json"], "json: top-level object expected"),
+    (["analyze", "shape-int.json"], "shape: 'int' object is not iterable"),
+    (["analyze", "shape-empty.json"], "grid needs at least one axis"),
+    (["analyze", "shape-zero.json"], "every axis needs at least one cell"),
+    (["generate", "--spec", "@missing.json"], "No such file or directory: 'missing.json'"),
+    (["generate", "--spec", "{bad"], "spec json: "),
 ]
+
+# grid files of their own for the refusals above
+_INPUTS = {
+    "const.json": {"dim": 1, "shape": [3], "weights": [1, 1, 1], "values": [2, 2, 2]},
+    "zero.json": {"dim": 1, "shape": [2], "weights": [0, 0], "values": [1, 2]},
+    "list.json": [1, 2],
+    "shape-int.json": {"dim": 1, "shape": 5, "weights": [1] * 5, "values": [1] * 5},
+    "shape-empty.json": {"dim": 0, "shape": [], "weights": [], "values": []},
+    "shape-zero.json": {"dim": 1, "shape": [0], "weights": [], "values": []},
+}
 
 
 @pytest.mark.parametrize(
@@ -468,6 +595,10 @@ def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, a
         spec = json.dumps({"kind": "spike", "shape": [4],
                            "kind_params": {"height": 1, "position": 0}})
         head = ["generate", "--spec", spec, "--out", str(tmp_path / "out.json")]
+    elif argv[1:2] and argv[1] in _INPUTS:
+        path = tmp_path / argv[1]
+        path.write_text(json.dumps(_INPUTS[argv[1]]))
+        head, argv = [argv[0], str(path)], argv[1:]
     else:
         head = [argv[0], write_two_cell(tmp_path)]
     code, out, err = run_cli(capsys, *head, *argv[1:])

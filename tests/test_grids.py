@@ -207,6 +207,8 @@ def test_wgrid_csv_load(tmp_path):
         # would load a 2-cell grid if 2.9 were truncated
         (lambda o: o.update(dim=1.7, shape=[2.9]), "shape: expected an integer, got 2.9"),
         (lambda o: o.__setitem__("shape", ["2"]), "shape: expected an integer, got '2'"),
+        (lambda o: o.__setitem__("shape", 2), "shape: 'int' object is not iterable"),
+        (lambda o: o.__setitem__("weights", [0.0, 0.0]), "^zero total mass$"),
     ],
 )
 def test_loader_rejections(tmp_path, mutate, field):
@@ -230,6 +232,10 @@ def test_loader_rejections(tmp_path, mutate, field):
         # a first line of three numbers is a data row, not a header to drop
         ("1,1,5\n0,1,2\n", "csv: missing header line"),
         ("0, 1e0 ,nan\n", "csv: missing header line"),
+        ("", "csv: empty file"),
+        ("index,weight,value\n", "csv: no data rows"),
+        ("index,weight,value\n0,1\n1,1\n", "csv: expected 3 columns, got 2"),
+        ("index,weight,value\n0,x,1\n1,1,2\n", "csv: could not convert string to float: 'x'"),
     ],
 )
 def test_csv_loader_rejections(tmp_path, text, message):
