@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .grids import Cube, Grid, Report, WeightedGrid, _corners, _prefix_table, box_sums
+from .grids import Cube, Grid, PrefixTable, Report, WeightedGrid, _corners, box_sums
 
 __all__ = ["CellSet", "CoveringResult", "cell_set", "build_covering", "overlap_constant"]
 
@@ -113,7 +113,7 @@ def build_covering(
         )
     shape = np.asarray(wg.grid.shape, dtype=np.int64)
 
-    e_prefix = _prefix_table(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * target.membership)
     w_prefix = wg.w_prefix
 
     uncovered = np.asarray(target.membership & (wg.weights > 0))

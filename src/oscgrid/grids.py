@@ -31,6 +31,7 @@ __all__ = [
     "WeightedGrid",
     "Cube",
     "EnumerationMode",
+    "PrefixTable",
     "ValidationReport",
     "validate",
     "enumerate_cubes",
@@ -197,14 +198,22 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _prefix_table(cells: np.ndarray) -> np.ndarray:
-    """Padded inclusive prefix-sum table; box sums become 2^n signed lookups.
+class PrefixTable:
+    """Padded inclusive prefix sums of a cell array, read through box_sums
+    (2^n signed lookups per box) and `total`, the sum of every cell.  Sums
+    accumulate in extended precision (unit roundoff ACC_U) into read-only
+    float64 `entries`, so over n cells each entry is within u + n*ACC_U of
+    its exact value, relative to the total (u the float64 unit roundoff),
+    and integer-valued cells stay exact."""
 
-    Accumulation runs in extended precision and the result lands in float64,
-    so each entry is accurate to about one ulp of itself no matter how long
-    the axes are; a box query then loses only the unavoidable cancellation,
-    and integer-valued cells stay exact.
-    """
+    ACC_U = float(np.finfo(np.longdouble).eps) / 2
+
+    def __init__(self, cells: np.ndarray):
+        self.entries = _prefix_table(cells)
+        self.total = float(self.entries[(-1,) * self.entries.ndim])
+
+
+def _prefix_table(cells: np.ndarray) -> np.ndarray:
     table = np.asarray(cells, dtype=np.longdouble).copy()
     for axis in range(table.ndim):
         np.cumsum(table, axis=axis, out=table)
@@ -224,8 +233,9 @@ def _corners(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
     return tuple((-1.0 if (dim - sum(b)) % 2 else 1.0, b) for b in bits)
 
 
-def box_sums(padded: np.ndarray, origins: np.ndarray, side: int) -> np.ndarray:
-    """Sum of the underlying cells over each cube (origins: (k, dim) ints)."""
+def box_sums(table: PrefixTable, origins: np.ndarray, side: int | np.ndarray) -> np.ndarray:
+    """Sum of the cells over each cube (origins: (k, dim) ints; side: an int or one per cube)."""
+    padded = table.entries
     out = np.zeros(origins.shape[0], dtype=np.float64)
     ends = (origins.T, origins.T + side)  # per axis, the low and the high index
     for sign, bits in _corners(padded.ndim):
@@ -252,16 +262,16 @@ class WeightedGrid:
         self.source_digest: str | None = None  # sha256 of the file it was loaded from
 
     @functools.cached_property
-    def w_prefix(self) -> np.ndarray:
-        return _prefix_table(self.weights)
+    def w_prefix(self) -> PrefixTable:
+        return PrefixTable(self.weights)
 
     @functools.cached_property
-    def wv_prefix(self) -> np.ndarray:
-        return _prefix_table(self.weights * self.values)
+    def wv_prefix(self) -> PrefixTable:
+        return PrefixTable(self.weights * self.values)
 
     @property
     def total_mass(self) -> float:
-        return float(self.w_prefix[tuple(-1 for _ in range(self.grid.dim))])
+        return self.w_prefix.total
 
     @functools.cached_property
     def threshold_index(self):

@@ -47,7 +47,7 @@ import numpy as np
 from .ainfty import DEFAULT_TOL, _check_open_interval
 from .covering import CoveringResult, build_covering, cell_set, check_square
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, Report, WeightedGrid, box_sums, default_mode, _prefix_table
+from .grids import Cube, EnumerationMode, PrefixTable, Report, WeightedGrid, box_sums, default_mode
 from .oscillation import _cube_moments, gr_epsilon, require_gr
 from .rearrangement import StepFunction, average, evaluate, rearrangement
 from . import scan
@@ -274,7 +274,7 @@ def rh_constant(
     mode = mode or default_mode(wg.grid)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows up as a non-finite c_hat
         wvp = np.where(wg.weights > 0, wg.weights * wg.values**p, 0.0)  # no mass, no 0 * inf
-    wvp_prefix = _prefix_table(wvp)
+    wvp_prefix = PrefixTable(wvp)
     inv_p = 1.0 / p
 
     def ratio(s: scan.CubeStats) -> np.ndarray:  # a ratio past float64 is refused below

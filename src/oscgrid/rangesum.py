@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import _prefix_table
+from .grids import PrefixTable
 
 __all__ = ["RangeThresholdIndex"]
 
 U = float(np.finfo(np.float64).eps) / 2  # unit roundoff of float64
-_U_ACC = float(np.finfo(np.longdouble).eps) / 2  # of the prefix accumulation
 
 
 def _gamma(n):
@@ -67,9 +66,9 @@ class RangeThresholdIndex:
             self._zeros[level] = self._zeros_before[level, -1]
             perm = np.argsort(bits, kind="stable")
             rank, w, wv = rank[perm], w[perm], wv[perm]
-            self._w[level] = _prefix_table(w)
-            self._wv[level] = _prefix_table(wv)
-        self._entry_err = U + 1.01 * n * _U_ACC
+            self._w[level] = PrefixTable(w).entries
+            self._wv[level] = PrefixTable(wv).entries
+        self._entry_err = U + 1.01 * n * PrefixTable.ACC_U
         # totals of w and fl(w*v), grown by the rounding of the tables
         self.total_w = float(self._w[-1][-1]) * (1 + 2 * self._entry_err)
         self.total_wv = float(self._wv[-1][-1]) * (1 + 2 * self._entry_err)
@@ -107,9 +106,8 @@ class RangeThresholdIndex:
     def _radii(self) -> tuple[float, float]:
         """Bounds on |B - exact Sum w| and |A - exact Sum w*v| for any query.
 
-        Every table entry is a float64 rounding of an extended-precision
-        running sum, so it is within e = u + n*u_acc of its exact value,
-        relative to the table total T.  A query adds at most levels+1 range
+        Every table entry is within e = u + n*ACC_U of its exact value,
+        relative to the table total T (see PrefixTable).  A query adds at most levels+1 range
         differences: each is off by at most 2eT from its two entries plus
         one rounding, and adding them up rounds levels+1 more times.  The
         exact products w*v differ from the tabulated fl(w*v) by u each.

@@ -175,7 +175,7 @@ def reduce_family(
     ties.  A family with no valid cube is an empty measure.
     """
     with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
-        totals = wg.total_mass, 2 * float(wg.wv_prefix[(-1,) * wg.grid.dim])
+        totals = wg.total_mass, 2 * wg.wv_prefix.total
     if not all(np.isfinite(totals)):
         raise DomainError(
             f"grid totals overflow float64: Sum w = {totals[0]}, 2*Sum w*v = {totals[1]}"

@@ -5,7 +5,7 @@ summation, no prefix tables and no shared scanning code, so agreement with
 the production scanners is evidence, not tautology.  Formulas mirror the
 documented production formulas so that on integer-representable inputs the
 float results are bit-identical.  The one exception is naive_covering: it
-takes each candidate cube's masses from the production prefix tables, so
+takes each candidate cube's masses from production `PrefixTable`s, so
 that its densities equal build_covering's bit for bit, and is independent
 in its control flow (one seed and one ring at a time).
 """
@@ -24,7 +24,7 @@ from oscgrid import (
     PreconditionError,
     WeightedGrid,
 )
-from oscgrid.grids import _prefix_table, box_sums
+from oscgrid.grids import PrefixTable, box_sums
 
 
 def naive_cubes(grid: Grid, mode: EnumerationMode) -> list[Cube]:
@@ -191,7 +191,7 @@ def naive_covering(wg: WeightedGrid, target, rho: float, rho_cap: float):
     shape = np.asarray(wg.grid.shape, dtype=np.int64)
     n_max = int(shape[0])
 
-    e_prefix = _prefix_table(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * target.membership)
     w_prefix = wg.w_prefix
 
     uncovered = np.asarray(target.membership & (wg.weights > 0))

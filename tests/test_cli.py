@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -631,6 +633,22 @@ def test_every_benchmark_command_line_parses():
                 other = (args.alpha, args.beta) if fwd else (args.epsilon, args.lam)
                 assert other == (None, None), step.name
     assert commands == 18
+
+
+def test_benchmark_tracer_finds_every_grids_function():
+    """The benchmark's tracer wraps grids functions by name; one it cannot
+    find reads 0 in every per-layer metric it feeds.  It runs in a child
+    process because installing the tracer rebinds module attributes for
+    good."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(grids.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    code = "from tracing import Tracer; print(*Tracer().install().missing)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=bench, env=env,
+                          capture_output=True, text=True, check=True)
+    assert [name for name in proc.stdout.split() if name.startswith("oscgrid.grids.")] == []
 
 
 def test_non_finite_report_value_is_a_usage_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from oscgrid import (
 
 from oscgrid import covering
 from oscgrid.covering import _cover_counts
-from oscgrid.grids import _prefix_table, box_sums
+from oscgrid.grids import PrefixTable, box_sums
 
 from conftest import random_float_grid
 from reference import _grown_cube, naive_cover_counts, naive_covering
@@ -295,7 +295,7 @@ def test_box_sums_calls_are_per_ring_pass_not_per_seed(chunk, monkeypatch):
     result = build_covering(wg, target, rho, rho_cap)
     if chunk == 64:
         assert len(passes) > 1
-    e_prefix = _prefix_table(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * target.membership)
     for seeds, calls in passes:
         needed = max(_first_cap_ring(wg, e_prefix, s, rho_cap) for s in seeds.tolist())
         assert calls <= 2 * (needed + 1)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscgrid
 from oscgrid import (
     ConfigurationError,
     CoveringResult,
@@ -160,12 +162,27 @@ def test_cube_mass_matches_naive_on_random_pairs():
 
 def test_cube_mass_exact_for_integer_weights():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        wg = random_integer_grid(rng, (32,))
-        side = int(rng.integers(1, 33))
-        origin = (int(rng.integers(0, 33 - side)),)
-        cube = Cube(origin, side)
-        assert cube_mass(wg, cube) == naive_cube_mass(wg, cube)
+    for shape in [(32,), (8, 8), (4, 4, 4)]:
+        n = shape[0]
+        for _ in range(50):
+            wg = random_integer_grid(rng, shape)
+            side = int(rng.integers(1, n + 1))
+            origin = tuple(int(rng.integers(0, n + 1 - side)) for _ in shape)
+            cube = Cube(origin, side)
+            assert cube_mass(wg, cube) == naive_cube_mass(wg, cube)
+            assert wg.w_prefix.total == int(wg.weights.astype(np.int64).sum())
+            assert not wg.w_prefix.entries.flags.writeable
+
+
+def test_only_grids_knows_the_prefix_table_format():
+    """The table's accumulation and padded layout are known to grids alone:
+    every other module builds tables as PrefixTable and reads them through
+    box_sums, `total` or (rangesum's 1D rows) `entries`, so a new table
+    format changes one class."""
+    for path in sorted(Path(oscgrid.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for name in ("_prefix_table", "longdouble", "(-1,) *"):
+            assert path.name == "grids.py" or name not in text, f"{path.name} names {name}"
 
 
 def test_wgrid_json_roundtrip(tmp_path):
