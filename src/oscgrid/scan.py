@@ -24,8 +24,8 @@ result go through the kernel, whose per-row results do not depend on the
 batch around them, so every reported value, witness and flag is
 bit-identical to a full kernel scan.  On both paths a cube whose every
 cell is above the level threshold (a whole cube: the kernel's mask, the
-screen's exact count) has level sum exactly its mass, so its level
-fraction is exactly 1.
+screen's range minimum) has level sum exactly its mass, so its level
+fraction is exactly 1, and the screen queries only the other cubes.
 """
 
 from __future__ import annotations
@@ -203,16 +203,17 @@ def reduce_family(
             if red.osc or whole is not None:  # a whole cube's level sum is its mass
                 opened = np.logical_or.reduce([m for m in run.open if m is not None])
                 need |= opened if red.osc else opened & ~whole
-        osc, lvl = np.zeros(len(sides)), np.tile(stats.mass, (levels.size, 1))
         rows = np.flatnonzero(need)
         rows = rows[np.argsort(sides[rows], kind="stable")]
+        osc, lvl, done = np.zeros(len(sides)), np.empty((levels.size, rows.size)), 0
         for part in np.split(rows, np.flatnonzero(np.diff(sides[rows])) + 1) if rows.size else ():
-            osc[part], lvl[:, part] = batch_osc_level(
+            osc[part], lvl[:, done : done + part.size] = batch_osc_level(
                 wg, int(sides[part[0]]), origins[part], means=stats.mean[part],
                 thresholds=levels[:, None] * stats.mean[part], masses=stats.mass[part],
             )
+            done += part.size
         for run in runs:
-            run.fold(stats, osc, lvl)
+            run.fold(stats, osc, rows, lvl)
     for run in runs:
         if run.best is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
@@ -229,13 +230,18 @@ class _Running:
         self.best = self.bound = self.breach = None
         self.holds, self.skipped = True, 0
 
-    def fold(self, s: CubeStats, osc, lvl) -> None:
-        """Fold in a batch whose stats are `s` and kernel sums osc and lvl."""
+    def fold(self, s: CubeStats, osc, rows, lvl) -> None:
+        """Fold in a batch whose stats are `s`, kernel sums osc and, at the
+        batch rows `rows`, level sums lvl; the other rows' level sums are
+        their masses."""
         ext, below, maybe = (None if m is None or not m.any() else m for m in self.open)
         if ext is None and below is None and maybe is None:
             return
-        red = self.red
-        s = s._replace(osc=osc, lvl=None if red.level is None else lvl[self.row])
+        red, level = self.red, None
+        if red.level is not None:
+            level = s.mass.copy()
+            level[rows] = lvl[self.row]
+        s = s._replace(osc=osc, lvl=level)
         with np.errstate(all="ignore"):  # a value past float64 reads inf or nan, as reported
             values, better = red.value(s), np.greater if red.maximize else np.less
         if ext is not None:
@@ -286,9 +292,9 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, floor_open, breach_o
     kernel confirms it.
 
     Returns the open masks (extremum, below, maybe; None for no row), the
-    whole cubes (every cell above the level threshold, by the exact count;
-    None without a level), whose level sum is exactly their mass, and the
-    new bound.
+    whole cubes (every cell above the level threshold, by the range minimum;
+    None without a level), whose level sum is exactly their mass and which
+    no query reads, and the new bound.
     """
     lo = stats.origins[:, 0]
     hi = lo + stats.sides
@@ -298,9 +304,13 @@ def _screen(index, red: Reduction, stats: CubeStats, valid, floor_open, breach_o
         est, rad = index.abs_deviation(lo, hi, stats.mean)
         osc = (est - rad, est + rad)
     if red.level is not None:
-        est, rad, above = index.level_mass(lo, hi, red.level * stats.mean)
-        whole = above == stats.sides
-        lvl = (np.where(whole, stats.mass, est - rad), np.where(whole, stats.mass, est + rad))
+        theta = red.level * stats.mean
+        whole = index.range_min(lo, hi) > theta
+        lvl = (stats.mass.copy(), stats.mass.copy())
+        ask = np.flatnonzero(valid & ~whole)
+        if ask.size:
+            est, rad = index.level_mass(lo[ask], hi[ask], theta[ask])
+            lvl[0][ask], lvl[1][ask] = est - rad, est + rad
     low = stats._replace(osc=osc[0], lvl=lvl[0])
     high = stats._replace(osc=osc[1], lvl=lvl[1])
     vmin, vmax = _bracket(red.value, low, high)

@@ -5,6 +5,8 @@ within their stated radius of the window kernel's values, and every result
 equals a full kernel scan bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,13 +70,13 @@ def test_estimates_within_radius_of_kernel():
             assert np.all(np.abs(est - osc) <= rad)
             for beta, lvl in zip(betas, levels):
                 thresholds = beta * means
-                est, rad, above = index.level_mass(lo, hi, thresholds)
+                est, rad = index.level_mass(lo, hi, thresholds)
                 # a whole cube's level sum is its mass; the rest are estimated
-                whole = above == side
+                whole = index.range_min(lo, hi) > thresholds
                 assert np.array_equal(lvl[whole], mass[whole])
                 assert np.all(np.abs(est - lvl)[~whole] <= rad[~whole])
                 windows = np.lib.stride_tricks.sliding_window_view(wg.values, side)
-                assert np.array_equal(above, np.sum(windows > thresholds[:, None], axis=1))
+                assert np.array_equal(whole, np.all(windows > thresholds[:, None], axis=1))
 
 
 def test_radius_is_tight_on_ordinary_data():
@@ -87,7 +89,7 @@ def test_radius_is_tight_on_ordinary_data():
     lo, hi = origins[:, 0], origins[:, 0] + side
     _, rad = index.abs_deviation(lo, hi, means)
     assert np.all(rad <= 1e-11 * wv)
-    _, rad, _ = index.level_mass(lo, hi, 0.5 * means)
+    _, rad = index.level_mass(lo, hi, 0.5 * means)
     assert np.all(rad <= 1e-11 * mass)
 
 
@@ -217,6 +219,78 @@ def test_screen_leaves_few_cubes_to_the_kernel(monkeypatch):
         for beta in (0.05, 0.5):
             alpha_profile(wg, beta, EnumerationMode.all())
         assert sum(gathered) <= most
+
+
+def test_whole_cubes_never_reach_the_query(monkeypatch):
+    queried = []
+    query = RangeThresholdIndex.level_mass
+
+    def recorded(self, lo, hi, thresholds):
+        queried.append((lo, hi, thresholds))
+        return query(self, lo, hi, thresholds)
+
+    monkeypatch.setattr(RangeThresholdIndex, "level_mass", recorded)
+    steep = generate(GenSpec("power", (256,), {"a": 0.5}))
+    for beta in (0.05, 0.5):
+        queried.clear()
+        alpha_profile(steep, beta, EnumerationMode.all())
+        for lo, hi, thresholds in queried:
+            lowest = np.array([steep.values[a:b].min() for a, b in zip(lo, hi)])
+            assert np.all(lowest <= thresholds)
+        if beta == 0.05:  # every cube is whole
+            assert sum(len(lo) for lo, _, _ in queried) == 0
+    # a threshold equal to a cube's least value leaves the cube open: on
+    # constant values at level 1 no cube is whole and every level sum is 0
+    flat = WeightedGrid(Grid((64,)), np.exp(np.random.default_rng(8).standard_normal(64)),
+                        np.full(64, 2.0))
+    queried.clear()
+    at_mean = scan.Reduction(_fraction, maximize=False, level=1.0)
+    assert scan.reduce_family(flat, EnumerationMode.all(), (at_mean,))[0].best.value == 0.0
+    assert sum(len(lo) for lo, _, _ in queried) == 64 * 65 // 2
+
+
+def deep_grid(n, seed, atom=True):
+    """A log-normal 1D grid of n cells, every other value rounded to a tie,
+    with zero weights and, from 4 cells on, a 1e12 atom unless not atom."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(2 * rng.standard_normal(n))
+    v = np.exp(rng.standard_normal(n))
+    v[::2] = np.round(v[::2], 1)
+    w[rng.random(n) < 0.2] = 0.0
+    if atom and n >= 4:
+        w[n // 3] = 1e12
+    w[0] = max(w[0], 1.0)
+    return WeightedGrid(Grid((n,)), w, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 4096])
+def test_upper_sums_match_fsum_on_deep_matrices(n):
+    wg = deep_grid(n, n)
+    w, v = wg.weights, wg.values
+    wv = w * v
+    index = RangeThresholdIndex(w, v)
+    assert 4**index.levels > n >= 4 ** (index.levels - 1)
+    e_w, e_wv = index._radii()
+    thresholds = np.concatenate([np.unique(v), [-np.inf, 0.0, np.inf]])
+    rng = np.random.default_rng(n)
+    starts = rng.integers(0, n, 4)
+    ranges = {(0, n), (n - 1, n), (n // 2, n // 2 + 1)} | {
+        (int(a), int(rng.integers(a + 1, n + 1))) for a in starts}
+    for a, b in sorted(ranges):
+        lo, hi = np.full(thresholds.size, a), np.full(thresholds.size, b)
+        big_b, big_a = index.upper_sums(lo, hi, thresholds, with_wv=True)
+        for t, got_b, got_a in zip(thresholds, big_b, big_a):
+            above = v[a:b] > t
+            assert abs(got_b - math.fsum(w[a:b][above].tolist())) <= e_w
+            assert abs(got_a - math.fsum(wv[a:b][above].tolist())) <= e_wv
+        assert np.array_equal(index.range_min(lo, hi), np.full(lo.size, v[a:b].min()))
+
+
+@pytest.mark.parametrize("n, mode", [(257, EnumerationMode.all()),
+                                     (1025, EnumerationMode.sample(2000, seed=7))])
+def test_screened_equals_full_kernel_on_deep_matrices(n, mode):
+    wg = deep_grid(n, 11, atom=False)  # next to an atom the screen opens every cube
+    assert outcomes(wg, mode) == full_kernel(outcomes, wg, mode)
 
 
 def test_family_cubes_decode_the_canonical_order(monkeypatch):
