@@ -247,8 +247,8 @@ class WeightedGrid:
     """A grid plus per-cell measure masses and function values.
 
     Arrays are stored read-only in grid shape (row-major); prefix tables for
-    the weights and the weight*value products, and for 1D grids the
-    range-threshold index, are built on first use and cached.
+    the weights and the weight*value products are built on first use and
+    cached.
     """
 
     def __init__(self, grid: Grid, weights, values):
@@ -272,13 +272,6 @@ class WeightedGrid:
     @property
     def total_mass(self) -> float:
         return self.w_prefix.total
-
-    @functools.cached_property
-    def threshold_index(self):
-        """Range-threshold index of a 1D grid (see rangesum)."""
-        from .rangesum import RangeThresholdIndex  # rangesum builds on this module
-
-        return RangeThresholdIndex(self.weights, self.values)
 
 
 @dataclass(frozen=True)

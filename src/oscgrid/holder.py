@@ -286,7 +286,7 @@ def rh_constant(
         raise DomainError(
             f"c_hat is not finite at p={p}: Sum w*v^p or the ratio overflows on cube {best.cube}"
         )
-    lost = np.argwhere((wvp == 0) & (wg.weights > 0) & (wg.values > 0))
+    lost = np.argwhere((wvp < np.finfo(np.float64).tiny) & (wg.weights > 0) & (wg.values > 0))
     if lost.size:
         cell = tuple(lost[0].tolist())
         raise DomainError(f"c_hat is not measurable at p={p}: w*v^p underflows on cell {cell}")

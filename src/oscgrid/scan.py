@@ -18,14 +18,15 @@ chunked so peak memory stays bounded, and computes Sum w*|v - mean| and
 Sum w*[v > threshold], for every reduction's threshold, from one gather.
 For 1D grids in "all" and "sample" mode both sums are also
 range-threshold queries, which the wavelet matrix of rangesum answers in
-O(log N) per cube with a rigorous error radius.  There the screen is one
-step of the loop, per reduction: only the cubes that could decide some
-result go through the kernel, whose per-row results do not depend on the
-batch around them, so every reported value, witness and flag is
-bit-identical to a full kernel scan.  On both paths a cube whose every
-cell is above the level threshold (a whole cube: the kernel's mask, the
-screen's range minimum) has level sum exactly its mass, so its level
-fraction is exactly 1, and the screen queries only the other cubes.
+O(log N) per cube with a rigorous error radius.  There each reduction
+screens its own rows of a batch (an index built for the walk, one range
+minimum per batch): only the cubes that could decide some result go
+through the kernel, whose per-row results do not depend on the batch
+around them, so every reported value, witness and flag is bit-identical
+to a full kernel scan.  On both paths a cube whose every cell is above
+the level threshold (a whole cube: the kernel's mask, the screen's range
+minimum) has level sum exactly its mass, so its level fraction is
+exactly 1, and the screen queries only the other cubes.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ class CubeStats(NamedTuple):
     mean: np.ndarray
     osc: np.ndarray | None = None  # Sum w*|v - mean|
     lvl: np.ndarray | None = None  # Sum w*[v > level*mean]
+    least: np.ndarray | None = None  # min v, on a screened walk with a level
 
     def cube(self, i: int) -> Cube:
         return Cube(tuple(self.origins[i]), self.sides[i])
@@ -183,26 +185,16 @@ def reduce_family(
     index = _screen_index(wg, mode, reds)
     levels = np.array([red.level for red in reds if red.level is not None])
     runs = [_Running(red, sum(r.level is not None for r in reds[:i])) for i, red in enumerate(reds)]
-    kernel = levels.size > 0 or any(red.osc for red in reds)
     cubes = 0
     for sides, origins in iter_origin_batches(wg.grid, mode):
-        stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins))
+        least = None  # each cube's least value, for every level's whole cubes
+        if index is not None and levels.size:
+            least = index.range_min(origins[:, 0], origins[:, 0] + sides)
+        stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins), least=least)
         cubes += len(sides)
-        need = np.full(len(sides), kernel and index is None)
+        need = np.zeros(len(sides), dtype=bool)
         for run in runs:
-            red = run.red
-            valid = (stats.mass > 0) & (stats.wv > 0) if red.positive_mean else stats.mass > 0
-            run.skipped += int(np.count_nonzero(stats.mass > 0) - np.count_nonzero(valid))
-            floor, breach = red.floor is not None and run.holds, red.breach and run.breach is None
-            if index is None:
-                run.open = valid, valid if floor else None, valid if breach else None
-                continue
-            *run.open, whole, run.bound = _screen(
-                index, red, stats, valid, floor, breach, run.bound
-            )
-            if red.osc or whole is not None:  # a whole cube's level sum is its mass
-                opened = np.logical_or.reduce([m for m in run.open if m is not None])
-                need |= opened if red.osc else opened & ~whole
+            need |= run.screen(index, stats)
         rows = np.flatnonzero(need)
         rows = rows[np.argsort(sides[rows], kind="stable")]
         osc, lvl, done = np.zeros(len(sides)), np.empty((levels.size, rows.size)), 0
@@ -229,6 +221,59 @@ class _Running:
         self.red, self.row = red, row  # row: its level sum's row in the kernel's output
         self.best = self.bound = self.breach = None
         self.holds, self.skipped = True, 0
+
+    def screen(self, index, s: CubeStats) -> np.ndarray:
+        """Open the rows of a batch whose stats are `s` to the three checks,
+        and return the rows whose kernel sums they need.
+
+        Without an index (or kernel sums) every valid row is open.  With
+        one, each cube's value (and breach quantity) is bracketed by
+        evaluating it at both ends of its kernel sum's error interval.  A
+        cube stays open when its bracket reaches the running bound (the best
+        value some screened or refined cube is known to attain), when it
+        might fall below the floor while "holds" is still true, or when it
+        might be a breach while none is known.  The bound never passes the
+        true extremum, so the first cube attaining it is always refined.  A
+        whole cube (every cell above the level threshold, by its least
+        value) has level sum exactly its mass: no query reads it, and a
+        level alone needs no kernel row for it.
+        """
+        red = self.red
+        valid = (s.mass > 0) & (s.wv > 0) if red.positive_mean else s.mass > 0
+        self.skipped += int(np.count_nonzero(s.mass > 0) - np.count_nonzero(valid))
+        floor = red.floor is not None and self.holds
+        breach = red.breach is not None and self.breach is None
+        kernel = red.osc or red.level is not None
+        if index is None or not kernel or not valid.any():
+            self.open = valid, valid if floor else None, valid if breach else None
+            return valid & kernel
+        lo = s.origins[:, 0]
+        hi = lo + s.sides
+        osc = lvl = (None, None)
+        if red.osc:
+            est, rad = index.abs_deviation(lo, hi, s.mean)
+            osc = (est - rad, est + rad)
+        if red.level is not None:
+            theta = red.level * s.mean
+            whole = s.least > theta
+            lvl = (s.mass.copy(), s.mass.copy())
+            ask = np.flatnonzero(valid & ~whole)
+            if ask.size:
+                est, rad = index.level_mass(lo[ask], hi[ask], theta[ask])
+                lvl[0][ask], lvl[1][ask] = est - rad, est + rad
+        low = s._replace(osc=osc[0], lvl=lvl[0])
+        high = s._replace(osc=osc[1], lvl=lvl[1])
+        vmin, vmax = _bracket(red.value, low, high)
+        better = np.greater if red.maximize else np.less
+        edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
+        if self.bound is None or better(edge, self.bound):
+            self.bound = edge
+        extremum = valid & ~better(self.bound, vmax if red.maximize else vmin)
+        below = valid & (vmin < red.floor(low)) if floor else None
+        maybe = valid & (_bracket(red.breach[0], low, high)[0] <= red.breach[1]) if breach else None
+        self.open = extremum, below, maybe
+        opened = np.logical_or.reduce([m for m in self.open if m is not None])
+        return opened if red.osc else opened & ~whole
 
     def fold(self, s: CubeStats, osc, rows, lvl) -> None:
         """Fold in a batch whose stats are `s`, kernel sums osc and, at the
@@ -262,12 +307,15 @@ class _Running:
 
 
 def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):
-    """The range-threshold index of the grid when it can screen this scan:
-    a 1D "all" or "sample" family, a reduction that needs kernel sums, and
-    estimates whose radii are finite."""
+    """A range-threshold index of the grid when it can screen this scan: a
+    1D "all" or "sample" family, a reduction that needs kernel sums, and
+    estimates whose radii are finite.  It lives for one walk."""
     if wg.grid.dim == 1 and mode.tag in ("all", "sample"):
-        if any(red.osc or red.level is not None for red in reds) and wg.threshold_index.finite:
-            return wg.threshold_index
+        if any(red.osc or red.level is not None for red in reds):
+            from .rangesum import RangeThresholdIndex  # so `import oscgrid` loads no rangesum
+
+            index = RangeThresholdIndex(wg.weights, wg.values)
+            return index if index.finite else None
     return None
 
 
@@ -275,60 +323,3 @@ def _bracket(fn, low: CubeStats, high: CubeStats):
     with np.errstate(all="ignore"):  # an end past float64 is infinite: the cube stays open
         a, b = fn(low), fn(high)
     return np.minimum(a, b), np.maximum(a, b)
-
-
-def _screen(index, red: Reduction, stats: CubeStats, valid, floor_open, breach_open, bound):
-    """Narrow the open rows of a 1D batch for one reduction with
-    range-threshold brackets.
-
-    Each cube's value (and breach quantity) is bracketed by evaluating it at
-    both ends of its kernel sum's error interval.  A cube stays open when
-    its bracket reaches the running bound (the best value some screened or
-    refined cube is known to attain), when it might fall below the floor
-    while "holds" is still true (floor_open), or when it might be a breach
-    no earlier than the first certain one (breach_open).  The bound never
-    passes the true extremum, so the first cube attaining it is always
-    refined.  A cube certain to fall below the floor is refined alone: the
-    kernel confirms it.
-
-    Returns the open masks (extremum, below, maybe; None for no row), the
-    whole cubes (every cell above the level threshold, by the range minimum;
-    None without a level), whose level sum is exactly their mass and which
-    no query reads, and the new bound.
-    """
-    lo = stats.origins[:, 0]
-    hi = lo + stats.sides
-    osc = lvl = (None, None)
-    whole = below = maybe = None
-    if red.osc:
-        est, rad = index.abs_deviation(lo, hi, stats.mean)
-        osc = (est - rad, est + rad)
-    if red.level is not None:
-        theta = red.level * stats.mean
-        whole = index.range_min(lo, hi) > theta
-        lvl = (stats.mass.copy(), stats.mass.copy())
-        ask = np.flatnonzero(valid & ~whole)
-        if ask.size:
-            est, rad = index.level_mass(lo[ask], hi[ask], theta[ask])
-            lvl[0][ask], lvl[1][ask] = est - rad, est + rad
-    low = stats._replace(osc=osc[0], lvl=lvl[0])
-    high = stats._replace(osc=osc[1], lvl=lvl[1])
-    vmin, vmax = _bracket(red.value, low, high)
-    better = np.greater if red.maximize else np.less
-    if not valid.any():
-        return valid, below, maybe, whole, bound
-    edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
-    bound = edge if bound is None or better(edge, bound) else bound
-    reach = vmax if red.maximize else vmin
-    extremum = valid & ~better(bound, reach)
-    if floor_open:
-        floor = red.floor(low)
-        fails = valid & (vmax < floor)
-        below = fails & (np.cumsum(fails) == 1) if fails.any() else valid & (vmin < floor)
-    if breach_open:
-        qmin, qmax = _bracket(red.breach[0], low, high)
-        maybe = valid & (qmin <= red.breach[1])
-        sure = valid & (qmax <= red.breach[1])
-        if sure.any():
-            maybe[int(np.argmax(sure)) + 1 :] = False
-    return extremum, below, maybe, whole, bound

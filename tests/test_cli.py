@@ -350,12 +350,14 @@ def test_rh_underflowing_power_sums_are_a_domain_error(tmp_path, capsys):
     save_wgrid(WeightedGrid(Grid((64,)), weights, values * 2.0**-1000), tiny)
     code, out, _ = run_cli(capsys, "rh", str(plain), "--mode", "all", "--p", "2")
     assert code == 0 and round(json.loads(out)["payload"]["c_hat"], 5) == 2.02607
-    for p in ("2", "1.5"):
-        code, out, err = run_cli(capsys, "rh", str(tiny), "--mode", "all", "--p", p)
+    # near p = 1 (1.0332, and the p that --auto chooses) w*v^p is subnormal, not
+    # zero, and keeps only a few bits: c_hat read 1.1e-11 off
+    for flags in (["--p", "2"], ["--p", "1.5"], ["--p", "1.0332"], ["--auto"]):
+        code, out, err = run_cli(capsys, "rh", str(tiny), "--mode", "all", *flags)
+        p = float(flags[1]) if flags[0] == "--p" else 1.0331684430219679
         assert code == 2
         assert out == ""
-        assert err == (f"error: c_hat is not measurable at p={float(p)}: "
-                       "w*v^p underflows on cell (0,)\n")
+        assert err == f"error: c_hat is not measurable at p={p}: w*v^p underflows on cell (0,)\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

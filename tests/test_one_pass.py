@@ -14,6 +14,7 @@ import pytest
 
 from oscgrid import EnumerationMode, Grid, WeightedGrid
 from oscgrid import grids, scan
+from oscgrid.rangesum import RangeThresholdIndex
 from conftest import random_float_grid, random_integer_grid
 
 
@@ -53,7 +54,7 @@ def line_grids():
     atom = random_float_grid(rng, (64,), weight_ratio=1e12)
     # Sum w*v is finite, but no range-threshold estimate has a finite radius
     unscreenable = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e296, 1e297, 8))
-    assert not unscreenable.threshold_index.finite
+    assert not RangeThresholdIndex(unscreenable.weights, unscreenable.values).finite
     return [random_float_grid(rng, (48,), log_sigma=2.0), ties, atom, unscreenable]
 
 

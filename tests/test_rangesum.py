@@ -58,7 +58,7 @@ def hard_grids(seed, count, max_n=70):
 def test_estimates_within_radius_of_kernel():
     for wg in hard_grids(1, 80):
         n = wg.grid.shape[0]
-        index = wg.threshold_index
+        index = RangeThresholdIndex(wg.weights, wg.values)
         for side in range(1, n + 1):
             origins = np.arange(n - side + 1)[:, None]
             lo, hi = origins[:, 0], origins[:, 0] + side
@@ -82,7 +82,7 @@ def test_estimates_within_radius_of_kernel():
 def test_radius_is_tight_on_ordinary_data():
     rng = np.random.default_rng(2)
     wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
-    index = wg.threshold_index
+    index = RangeThresholdIndex(wg.weights, wg.values)
     side = 16
     origins = np.arange(256 - side + 1)[:, None]
     mass, wv, means = scan.batch_mass_mean(wg, side, origins)
@@ -146,7 +146,9 @@ def _fraction(s):
     return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
 
 
-# the reductions of theorem1 fwd and rev, with alpha* at two betas, in one walk
+# the reductions of theorem1 fwd and rev, with alpha* at two betas, in one walk;
+# then a floor every valid cube is certain to fail, and a breach every valid
+# cube is certain to be
 ONE_WALK = (
     scan.Reduction(_fraction, maximize=False, level=0.3),
     scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6,
@@ -154,6 +156,9 @@ ONE_WALK = (
     scan.Reduction(_margin, maximize=False, osc=True, level=0.5,
                    floor=lambda s: -1e-12 * s.mean, breach=(_fraction, 0.6)),
     scan.Reduction(_fraction, maximize=False, level=0.9),
+    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6,
+                   floor=lambda s: s.mass),
+    scan.Reduction(_fraction, maximize=True, level=0.7, breach=(_fraction, 1.0)),
 )
 
 
@@ -219,6 +224,27 @@ def test_screen_leaves_few_cubes_to_the_kernel(monkeypatch):
         for beta in (0.05, 0.5):
             alpha_profile(wg, beta, EnumerationMode.all())
         assert sum(gathered) <= most
+
+
+def test_one_range_minimum_per_screened_batch(monkeypatch):
+    calls = {"build": 0, "range_min": 0}
+    build, least = RangeThresholdIndex.__init__, RangeThresholdIndex.range_min
+
+    def counted_build(self, *args):
+        calls["build"] += 1
+        build(self, *args)
+
+    def counted_min(self, lo, hi):
+        calls["range_min"] += 1
+        return least(self, lo, hi)
+
+    monkeypatch.setattr(RangeThresholdIndex, "__init__", counted_build)
+    monkeypatch.setattr(RangeThresholdIndex, "range_min", counted_min)
+    rng = np.random.default_rng(10)
+    wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
+    epsilon_and_profile(wg, np.linspace(0.05, 0.95, 19), EnumerationMode.all())
+    # 32,896 cubes in batches of 8,192: one minimum per batch, not one per level
+    assert calls == {"build": 1, "range_min": 5}
 
 
 def test_whole_cubes_never_reach_the_query(monkeypatch):
@@ -322,7 +348,7 @@ def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
     wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e296, 1e297, 8))
     assert np.isfinite(2 * np.sum(wg.weights * wg.values))
     with np.errstate(all="ignore"):
-        assert not wg.threshold_index.finite
+        assert not RangeThresholdIndex(wg.weights, wg.values).finite
 
     def unused(*args):
         raise AssertionError("screened an overflowing grid")
