@@ -82,8 +82,7 @@ class MarginReport(Report):
 
 def level_fraction(wg: WeightedGrid, cube: Cube, beta: float) -> float:
     """mu{cells in Q with value > beta*mean(Q)} / mu(Q), strict inequality."""
-    if not (0 < beta < 1):
-        raise DomainError(f"beta must lie in (0,1), got {beta}")
+    _check_beta(beta)
     w, v, mass, m = _cube_moments(wg, cube)
     return math.fsum(w[v > beta * m]) / mass
 
@@ -97,7 +96,8 @@ def gr_to_ainfty_params(epsilon: float, lam: float) -> LevelParams:
     """Certificate guaranteed by GR(epsilon): alpha = 1 - lambda/2, beta = 1 - epsilon/lambda.
 
     The guarantee is the non-strict bound >= alpha * mu(Q); any alpha
-    strictly below 1 - lambda/2 is then a strict certificate.
+    strictly below 1 - lambda/2 is then a strict certificate.  LevelParams
+    refuses an epsilon/lambda so small that beta rounds to 1.
     """
     _check_open_interval(epsilon, lam)
     return LevelParams(alpha=1.0 - lam / 2.0, beta=1.0 - epsilon / lam)
@@ -138,9 +138,13 @@ def epsilon_and_profile(
     return gr_result(gr, mode), [(res.best.value, res.best.cube) for res in alphas]
 
 
-def _alpha_star(beta: float) -> scan.Reduction:
+def _check_beta(beta: float) -> None:
     if not (0 < beta < 1):
         raise DomainError(f"beta must lie in (0,1), got {beta}")
+
+
+def _alpha_star(beta: float) -> scan.Reduction:
+    _check_beta(beta)
     return scan.Reduction(_level_fraction, maximize=False, level=beta)
 
 
@@ -174,14 +178,12 @@ def verify_gr_to_ainfty(
     (1 - lambda/2) mu(Q); given the precondition it is nonnegative up to
     rounding, and holds applies the -tol*mu(Q) noise floor per cube.
     """
-    _check_open_interval(epsilon, lam)
+    params = gr_to_ainfty_params(epsilon, lam)
     mode = mode or default_mode(wg.grid)
-    beta = 1.0 - epsilon / lam
-    alpha = 1.0 - lam / 2.0
     red = scan.Reduction(
-        lambda s: s.lvl - alpha * s.mass,
+        lambda s: s.lvl - params.alpha * s.mass,
         maximize=False,
-        level=beta,
+        level=params.beta,
         floor=lambda s: -tol * s.mass,
     )
     gr, res = scan.reduce_family(wg, mode, (GR_RATIO, red))

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, DataValidationError, DomainError, Precon
 from .generators import GenSpec, generate
 from .grids import EnumerationMode, default_mode
 from .holder import (
+    DEFAULT_DELTA,
     TailBoundParams,
     optimize_rh_exponent,
     rh_constant,
@@ -207,7 +208,7 @@ def _cmd_rh(args, wg, mode):
     if not args.auto and (args.b_from_covering or args.delta is not None):
         flag = "--B-from-covering" if args.b_from_covering else "--delta"
         raise ConfigurationError(f"{flag} needs --auto")
-    delta = 1e-6 if args.delta is None else args.delta
+    delta = DEFAULT_DELTA if args.delta is None else args.delta
     if args.b_from_covering:
         check_square(wg.grid)
     if args.auto:
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rh.add_argument("--p", type=float, default=None)
     p_rh.add_argument("--auto", action="store_true")
     p_rh.add_argument("--B-from-covering", dest="b_from_covering", action="store_true")
-    p_rh.add_argument("--delta", type=float, default=None)  # 1e-6 under --auto
+    p_rh.add_argument("--delta", type=float, default=None)  # DEFAULT_DELTA under --auto
 
     p_gen = sub.add_parser("generate", help="write a wgrid file from a generator spec")
     p_gen.add_argument("--spec", required=True, help="JSON spec or @path to one")

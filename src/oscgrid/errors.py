@@ -14,7 +14,7 @@ class ConfigurationError(ValueError):
 
 
 class DataValidationError(ValueError):
-    """Input data rejected by the loader or by validate()."""
+    """Grid data refused: a malformed file, or data that validate() reports on."""
 
 
 class DomainError(ValueError):

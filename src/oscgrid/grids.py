@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DataValidationError, DomainError
 
 __all__ = [
     "Report",
@@ -114,6 +114,10 @@ class Cube(Report):
         if len(self.origin) != grid.dim or self.side < 1:
             return False
         return all(0 <= o and o + self.side <= n for o, n in zip(self.origin, grid.shape))
+
+    def check_fits(self, grid: Grid) -> None:
+        if not self.valid_for(grid):
+            raise DomainError(f"cube {self} does not fit grid shape {grid.shape}")
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,11 @@ def box_sums(table: PrefixTable, origins: np.ndarray, side: int | np.ndarray) ->
 
 
 class WeightedGrid:
-    """A grid plus per-cell measure masses and function values.
-
-    Arrays are stored read-only in grid shape (row-major); prefix tables for
-    the weights and the weight*value products are built on first use and
-    cached.
-    """
+    """A grid plus per-cell measure masses and function values, valid by
+    construction: data that validate() reports on is refused with a
+    DataValidationError.  Arrays are stored read-only in grid shape
+    (row-major); prefix tables for the weights and the weight*value
+    products are built on first use and cached."""
 
     def __init__(self, grid: Grid, weights, values):
         self.grid = grid
@@ -260,6 +263,9 @@ class WeightedGrid:
         self.weights = w
         self.values = v
         self.source_digest: str | None = None  # sha256 of the file it was loaded from
+        report = validate(self)
+        if not report.ok:
+            raise DataValidationError("; ".join(report.violations))
 
     @functools.cached_property
     def w_prefix(self) -> PrefixTable:
@@ -284,11 +290,10 @@ _MAX_LISTED = 20
 
 
 def validate(wg: WeightedGrid) -> ValidationReport:
-    """Check the data invariants; report every violation rather than raising.
-
-    Callers are expected to refuse invalid grids; analysis operations assume
-    a grid that passed validation.
-    """
+    """The data rule: finite, non-negative weights and values, and some
+    weight > 0.  Lists the violations by cell (the first _MAX_LISTED of a
+    kind) rather than raising; the WeightedGrid constructor raises on a
+    report that is not ok, so no analysis sees invalid data."""
     violations: list[str] = []
 
     def _scan(arr: np.ndarray, name: str, pred, message: str):
@@ -302,17 +307,14 @@ def validate(wg: WeightedGrid) -> ValidationReport:
     _scan(wg.values, "value", lambda a: ~np.isfinite(a), "non-finite value")
     _scan(wg.weights, "weight", lambda a: np.isfinite(a) & (a < 0), "negative weight")
     _scan(wg.values, "value", lambda a: np.isfinite(a) & (a < 0), "negative value")
-    with np.errstate(invalid="ignore"):
-        total = float(np.sum(wg.weights[np.isfinite(wg.weights) & (wg.weights > 0)]))
-    if not total > 0:
+    if not np.any(wg.weights > 0):
         violations.append("zero total mass")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def cube_mass(wg: WeightedGrid, cube: Cube) -> float:
     """mu(Q): mass of the cube via the prefix table."""
-    if not cube.valid_for(wg.grid):
-        raise DomainError(f"cube {cube} does not fit grid shape {wg.grid.shape}")
+    cube.check_fits(wg.grid)
     origins = np.asarray([cube.origin], dtype=np.int64)
     return float(box_sums(wg.w_prefix, origins, cube.side)[0])
 

@@ -64,6 +64,8 @@ __all__ = [
     "rh_constant",
 ]
 
+DEFAULT_DELTA = 1e-6  # optimize_rh_exponent's gap below the open constraint on rho
+
 
 def _check_bound_params(epsilon: float, lam: float, rho: float, overlap: float):
     _check_open_interval(epsilon, lam)
@@ -90,7 +92,7 @@ def rh_exponent_bound(epsilon: float, lam: float, rho: float, overlap: float = 1
 
 
 def optimize_rh_exponent(
-    epsilon: float, overlap: float = 1.0, delta: float = 1e-6
+    epsilon: float, overlap: float = 1.0, delta: float = DEFAULT_DELTA
 ) -> tuple[float, float, float]:
     """Maximize the exponent bound over lambda in (epsilon, 2).
 
@@ -104,8 +106,6 @@ def optimize_rh_exponent(
     """
     if not (0 < epsilon < 2):
         raise DomainError(f"need 0 < epsilon < 2, got {epsilon}")
-    if not overlap >= 1:
-        raise DomainError(f"overlap constant must be >= 1, got {overlap}")
     if not (0 < delta < 1):
         raise DomainError(f"need 0 < delta < 1, got {delta}")
     c = 1.0 - delta
@@ -113,8 +113,7 @@ def optimize_rh_exponent(
     gap = max(1e-12 * (2.0 - epsilon), 1e-15)
     lam_star = min(max(lam_star, epsilon + gap), 2.0 - gap)
     rho_star = (1.0 - lam_star / 2.0) * c
-    p_star = 1.0 + (lam_star - epsilon) / (overlap * (lam_star / rho_star + 1.0) * epsilon)
-    return lam_star, rho_star, p_star
+    return lam_star, rho_star, rh_exponent_bound(epsilon, lam_star, rho_star, overlap)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,7 @@ class GRResult(Report):
 
 def _cube_moments(wg: WeightedGrid, cube: Cube):
     """(w, v, mass, mean) of one cube, with exact (fsum) accumulation."""
-    if not cube.valid_for(wg.grid):
-        raise DomainError(f"cube {cube} does not fit grid shape {wg.grid.shape}")
+    cube.check_fits(wg.grid)
     sl = cube.slices()
     w, v = wg.weights[sl].ravel(), wg.values[sl].ravel()
     mass = math.fsum(w)

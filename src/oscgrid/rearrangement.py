@@ -52,8 +52,6 @@ def rearrangement(wg: WeightedGrid) -> StepFunction:
     v = wg.values.ravel()
     keep = w > 0
     w, v = w[keep], v[keep]
-    if w.size == 0:
-        raise DomainError("empty measure: total mass is zero")
     order = np.argsort(-v, kind="stable")
     v_sorted = v[order]
     w_sorted = w[order]

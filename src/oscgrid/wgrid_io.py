@@ -7,10 +7,10 @@ The canonical "wgrid" format is JSON:
 
 A CSV alternative exists for 1D data: a header line followed by rows
 "index,weight,value"; a first line of three numbers is refused as a
-missing header.  Both loaders send weights and values through one check
-that rejects NaN, infinities, negatives, nested lists and non-numbers
-(JSON booleans, strings, null) and names the offending field, and a grid
-with no positive weight is refused; JSON `dim` and `shape` take integers only.
+missing header.  A malformed file is refused naming the field: JSON
+weights and values are flat lists of numbers (no booleans, strings, null
+or nested lists) and `dim` and `shape` take integers only.  The grid's
+constructor refuses data outside the rule of grids.validate, by cell.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ def load_wgrid(path: str | Path) -> WeightedGrid:
     digest of the bytes the grid was parsed from."""
     path = Path(path)
     wg, digest = _load_csv(path) if path.suffix.lower() == ".csv" else _load_json(path)
-    if not np.any(wg.weights > 0):  # the parser refused every other invalid entry
-        raise DataValidationError("zero total mass")
     wg.source_digest = digest
     return wg
 
@@ -96,16 +94,12 @@ def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:
         raise DataValidationError(f"{field}: expected numbers, got {names}")
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float64 overflows
         raise DataValidationError(f"{field}: {exc}") from exc
     if arr.ndim != 1:
         raise DataValidationError(f"{field}: expected a flat list of {expected} numbers")
     if arr.size != expected:
         raise DataValidationError(f"{field}: expected {expected} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise DataValidationError(f"{field}: NaN or infinity not allowed")
-    if np.any(arr < 0):
-        raise DataValidationError(f"{field}: negative entries not allowed")
     return arr
 
 
@@ -142,9 +136,7 @@ def _load_csv(path: Path) -> tuple[WeightedGrid, str]:
         seen[idx] = True
         weights[idx] = w
         values[idx] = v
-    return WeightedGrid(
-        Grid((n,)), _parse_numbers(weights, "weights", n), _parse_numbers(values, "values", n)
-    ), digest
+    return WeightedGrid(Grid((n,)), weights, values), digest
 
 
 def save_wgrid(wg: WeightedGrid, path: str | Path) -> None:

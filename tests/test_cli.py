@@ -65,7 +65,38 @@ def test_analyze_names_offending_field(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 1, "shape": [2], "weights": [1, -1], "values": [1, 1]}))
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
-    assert "weights" in err
+    assert err == "error: negative weight at cell 1\n"
+
+
+def test_theorem1_fwd_refuses_a_beta_that_rounds_to_one(tmp_path, capsys):
+    # on constant data the theorem holds with margin mu(Q)/2, but 1 - 5e-17
+    # rounds to 1, and the strict level set {f > mean} is then empty
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [4], "weights": [0.25] * 4,
+                                "values": [2.0] * 4}))
+    argv = ["theorem1", str(path), "--direction", "fwd", "--lambda", "1.0", "--epsilon"]
+    code, out, err = run_cli(capsys, *argv, "5e-17")
+    assert (code, out) == (2, "")
+    assert err == "error: alpha and beta must lie in (0,1), got (0.5, 1.0)\n"
+    code, out, _ = run_cli(capsys, *argv, "1e-16")
+    assert code == 0
+    assert json.loads(out)["payload"]["report"]["worst_margin"] == 0.125
+
+
+def test_rh_auto_refuses_a_delta_below_float_resolution(tmp_path, capsys):
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({"dim": 1, "shape": [8], "weights": [1] * 8,
+                                "values": [1, 2, 3, 4, 5, 6, 7, 9]}))
+    code, out, err = run_cli(capsys, "rh", str(path), "--auto", "--delta", "1e-17")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need 0 < rho < 1 - lambda/2, got rho=0.43173361336172866")
+    assert err.count("\n") == 1
+    # without --delta, the optimizer's own default
+    code, out, _ = run_cli(capsys, "rh", str(path), "--auto")
+    auto = json.loads(out)["payload"]["auto"]
+    assert code == 0
+    assert (auto["lambda_star"], auto["rho_star"], auto["p_star"]) == optimize_rh_exponent(
+        auto["measured_epsilon"])
 
 
 def test_analyze_plot_dir(tmp_path, capsys):

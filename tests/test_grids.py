@@ -20,6 +20,7 @@ from oscgrid import (
     cube_mass,
     default_mode,
     enumerate_cubes,
+    generate,
     load_wgrid,
     save_wgrid,
     validate,
@@ -35,23 +36,20 @@ def test_validate_uniform_ok():
     assert report.ok and report.violations == ()
 
 
+# a grid is valid by construction: the constructor refuses what validate reports
 def test_validate_negative_weight():
-    wg = WeightedGrid(Grid((3,)), [1.0, -0.5, 1.0], [1.0, 1.0, 1.0])
-    report = validate(wg)
-    assert not report.ok
-    assert any("negative weight at cell 1" in v for v in report.violations)
+    with pytest.raises(DataValidationError, match="^negative weight at cell 1$"):
+        WeightedGrid(Grid((3,)), [1.0, -0.5, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_validate_zero_total_mass():
-    wg = WeightedGrid(Grid((3,)), np.zeros(3), np.ones(3))
-    report = validate(wg)
-    assert not report.ok
-    assert any("zero total mass" in v for v in report.violations)
+    with pytest.raises(DataValidationError, match="^zero total mass$"):
+        WeightedGrid(Grid((3,)), np.zeros(3), np.ones(3))
 
 
 def test_validate_rejects_nan():
-    wg = WeightedGrid(Grid((2,)), [1.0, np.nan], [1.0, 1.0])
-    assert not validate(wg).ok
+    with pytest.raises(DataValidationError, match="^non-finite weight at cell 1$"):
+        WeightedGrid(Grid((2,)), [1.0, np.nan], [1.0, 1.0])
 
 
 def test_enumeration_counts_1d():
@@ -208,7 +206,7 @@ def test_wgrid_csv_load(tmp_path):
     "mutate, field",
     [
         (lambda o: o.__setitem__("weights", [1.0, -1.0]), "negative"),
-        (lambda o: o.__setitem__("values", [1.0, float("nan")]), "NaN"),
+        (lambda o: o.__setitem__("values", [1.0, float("nan")]), "^non-finite value at cell 1$"),
         (lambda o: o.__setitem__("shape", [3]), "expected 3 entries"),
         (lambda o: o.pop("values"), "values: missing"),
         (lambda o: o.__setitem__("dim", "x"), "dim: invalid literal"),
@@ -219,6 +217,8 @@ def test_wgrid_csv_load(tmp_path):
         (lambda o: o.__setitem__("values", [False, True]), "values: expected numbers, got bool"),
         (lambda o: o.__setitem__("weights", ["1", "2"]), "weights: expected numbers, got str"),
         (lambda o: o.__setitem__("values", [None, 1.0]), "values: expected numbers, got NoneType"),
+        (lambda o: o.__setitem__("weights", [1, 10**400]),
+         "^weights: int too large to convert to float$"),
         (lambda o: o.__setitem__("dim", True), "dim: expected an integer, got True"),
         (lambda o: o.__setitem__("dim", 1.7), "dim: expected an integer, got 1.7"),
         # would load a 2-cell grid if 2.9 were truncated
@@ -241,9 +241,9 @@ def test_loader_rejections(tmp_path, mutate, field):
     "text, message",
     [
         # a NaN weight is named, not read as a missing row
-        ("index,weight,value\n0,nan,1\n1,1,2\n", "weights: NaN or infinity not allowed"),
-        ("index,weight,value\n0,1,inf\n1,1,2\n", "values: NaN or infinity"),
-        ("index,weight,value\n0,-1,1\n1,1,2\n", "weights: negative"),
+        ("index,weight,value\n0,nan,1\n1,1,2\n", "^non-finite weight at cell 0$"),
+        ("index,weight,value\n0,1,inf\n1,1,2\n", "^non-finite value at cell 0$"),
+        ("index,weight,value\n0,-1,1\n1,1,2\n", "^negative weight at cell 0$"),
         ("index,weight,value\n0,1,1\n0,1,2\n", "index: duplicate 0"),
         ("index,weight,value\n0,1,1\n2,1,2\n", "index: 2 out of range"),
         # a first line of three numbers is a data row, not a header to drop
@@ -260,6 +260,61 @@ def test_csv_loader_rejections(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataValidationError, match=message):
         load_wgrid(path)
+
+
+# one data rule: the same bad data gets validate's message on every path into a grid
+_BAD_DATA = {
+    "negative weight": ([1.0, -0.5], [1.0, 2.0], "^negative weight at cell 1$"),
+    "NaN value": ([1.0, 1.0], [1.0, float("nan")], "^non-finite value at cell 1$"),
+    "zero weights": ([0.0, 0.0], [1.0, 2.0], "^zero total mass$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATA))
+def test_bad_data_is_refused_by_one_rule_on_every_path(tmp_path, case):
+    weights, values, message = _BAD_DATA[case]
+    as_json = tmp_path / "bad.json"
+    as_json.write_text(json.dumps({"dim": 1, "shape": [2], "weights": weights, "values": values}))
+    as_csv = tmp_path / "bad.csv"
+    as_csv.write_text("index,weight,value\n" + "".join(
+        f"{i},{w!r},{v!r}\n" for i, (w, v) in enumerate(zip(weights, values))))
+    for build in (lambda: WeightedGrid(Grid((2,)), weights, values),
+                  lambda: load_wgrid(as_json), lambda: load_wgrid(as_csv)):
+        with pytest.raises(DataValidationError, match=message):
+            build()
+
+
+# generate can make no negative weight and no NaN; what bad data it can make
+# gets the same messages
+@pytest.mark.parametrize("spec, message", [
+    # every log-normal weight underflows to 0
+    (GenSpec("spike", (2,), {"height": 1.0, "position": 0},
+             "random_weight", {"seed": 1, "log_sigma": -1e4}), "^zero total mass$"),
+    (GenSpec("spike", (2,), {"height": -1.0, "position": 1}), "^negative value at cell 1$"),
+    # every log-normal value overflows to inf
+    (GenSpec("random", (2,), {"seed": 1, "log_sigma": 1e4}),
+     "^non-finite value at cell 0; non-finite value at cell 1$"),
+])
+def test_generate_refuses_bad_data_by_the_same_rule(spec, message):
+    with pytest.raises(DataValidationError, match=message):
+        generate(spec)
+
+
+def test_one_load_validates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(wg):
+        calls.append(wg)
+        return validate(wg)
+
+    monkeypatch.setattr(oscgrid.grids, "validate", counted)
+    obj = {"dim": 1, "shape": [2], "weights": [1.0, 1.0], "values": [0.0, 2.0]}
+    for name, text in [("grid.json", json.dumps(obj)),
+                       ("grid.csv", "index,weight,value\n0,1.0,0.0\n1,1.0,2.0\n")]:
+        calls.clear()
+        (tmp_path / name).write_text(text)
+        wg = load_wgrid(tmp_path / name)
+        assert calls == [wg]
 
 
 def test_loader_rejects_malformed_json(tmp_path):

@@ -143,6 +143,25 @@ def test_lambda_star_stays_inside_the_open_interval(eps):
         assert rho > 0 and p >= 1
 
 
+def test_optimizer_refuses_a_rho_that_rounds_onto_its_open_constraint():
+    # c = 1 - 1e-17 rounds to 1, so rho_star would be exactly 1 - lambda_star/2
+    with pytest.raises(DomainError, match="^need 0 < rho < 1 - lambda/2"):
+        optimize_rh_exponent(0.3, delta=1e-17)
+
+
+@pytest.mark.parametrize("eps, overlap, expected", [
+    (0.3, 1.0, (1.0331500235235846, 0.4834245048132194, 1.7789982851779729)),
+    (0.3, 2.5, (1.0331500235235846, 0.4834245048132194, 1.3115993140711892)),
+    (1.5, 1.0, (1.741657377855312, 0.12917118190103297, 1.0111234739459471)),
+    (1e-3, 1.0, (0.8291339008736539, 0.5854324641301234, 343.73151278898104)),
+])
+def test_optimizer_values_at_the_default_delta(eps, overlap, expected):
+    # bit for bit the values of the optimizer's earlier inline exponent formula
+    assert holder.DEFAULT_DELTA == 1e-6
+    assert optimize_rh_exponent(eps, overlap) == expected
+    assert optimize_rh_exponent(eps, overlap, delta=1e-6) == expected
+
+
 def test_optimizer_collapses_near_two():
     _, _, p_star = optimize_rh_exponent(2 - 1e-9, 1.0)
     assert p_star == pytest.approx(1.0, abs=1e-8)

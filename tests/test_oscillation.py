@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oscgrid import (
     Cube,
+    DataValidationError,
     DomainError,
     EnumerationMode,
     Grid,
@@ -165,9 +166,12 @@ def test_gr_epsilon_zero_function():
 
 
 def test_gr_epsilon_empty_measure():
-    wg = WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(DomainError, match="empty measure"):
-        gr_epsilon(wg, ALL)
+    with pytest.raises(DataValidationError, match="^zero total mass$"):
+        WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0])
+    # a sample can still draw only zero-mass cubes: here cube (1,) twice
+    wg = WeightedGrid(Grid((2,)), [1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="^empty measure: no cube has positive mass$"):
+        gr_epsilon(wg, EnumerationMode.sample(2, 1))
     zero_values = WeightedGrid(Grid((2,)), [1.0, 1.0], [0.0, 0.0])
     for scan in (alpha_profile, rh_constant):
         with pytest.raises(DomainError, match="empty measure: .* and positive mean"):

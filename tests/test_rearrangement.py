@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oscgrid import (
+    DataValidationError,
     DomainError,
     Grid,
     WeightedGrid,
@@ -143,8 +144,9 @@ def test_zero_weights_dropped_and_matches_naive():
 
 
 def test_empty_measure_raises():
-    with pytest.raises(DomainError):
-        rearrangement(WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0]))
+    # the grid refuses a measure with no positive weight before any rearrangement
+    with pytest.raises(DataValidationError, match="^zero total mass$"):
+        WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0])
 
 
 def test_csv_rows(two_atom):
