@@ -29,7 +29,6 @@ from .grids import (
     Cube,
     EnumerationMode,
     Grid,
-    ValidationReport,
     WeightedGrid,
     cube_mass,
     default_mode,
@@ -52,7 +51,7 @@ from .wgrid_io import file_digest, load_wgrid, save_wgrid
 
 __all__ = [
     "__version__",
-    "Grid", "WeightedGrid", "Cube", "EnumerationMode", "ValidationReport",
+    "Grid", "WeightedGrid", "Cube", "EnumerationMode",
     "validate", "enumerate_cubes", "cube_mass", "default_mode",
     "OscStats", "GRResult", "mean", "oscillation", "gr_epsilon",
     "LevelParams", "MarginReport", "level_fraction", "alpha_profile", "epsilon_and_profile",

@@ -96,11 +96,15 @@ def gr_to_ainfty_params(epsilon: float, lam: float) -> LevelParams:
     """Certificate guaranteed by GR(epsilon): alpha = 1 - lambda/2, beta = 1 - epsilon/lambda.
 
     The guarantee is the non-strict bound >= alpha * mu(Q); any alpha
-    strictly below 1 - lambda/2 is then a strict certificate.  LevelParams
-    refuses an epsilon/lambda so small that beta rounds to 1.
+    strictly below 1 - lambda/2 is then a strict certificate.  An alpha or
+    beta that rounds to 1 is refused, naming epsilon and lambda.
     """
     _check_open_interval(epsilon, lam)
-    return LevelParams(alpha=1.0 - lam / 2.0, beta=1.0 - epsilon / lam)
+    try:
+        return LevelParams(alpha=1.0 - lam / 2.0, beta=1.0 - epsilon / lam)
+    except DomainError as err:
+        raise DomainError(f"no certificate from epsilon={epsilon} lambda={lam}, as "
+                          f"(1 - lambda/2, 1 - epsilon/lambda): {err}") from None
 
 
 def ainfty_to_gr_bound(params: LevelParams) -> float:
@@ -152,12 +156,20 @@ def _level_fraction(s: scan.CubeStats) -> np.ndarray:
     return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
 
 
-def _margin_report(res: scan.ReductionResult, mode: EnumerationMode, tol: float) -> MarginReport:
+def _margins(value, scale, tol: float, **sums) -> tuple[scan.Reduction, scan.Reduction]:
+    """The least margin, and the least margin + tol*scale: the margin clears
+    -tol*scale on every cube exactly when the second is >= 0, since a float
+    sum has the sign of the exact sum."""
+    return (scan.Reduction(value, maximize=False, **sums),
+            scan.Reduction(lambda s: value(s) + tol * scale(s), maximize=False, **sums))
+
+
+def _margin_report(res, slack, mode: EnumerationMode, tol: float) -> MarginReport:
     return MarginReport(
         worst_margin=res.best.value,
         witness=res.best.cube,
         mode=mode,
-        holds=res.holds,
+        holds=slack.best.value >= 0,
         cubes_scanned=res.cubes,
         skipped_zero_mean=res.skipped_zero_mean,
         tolerance=tol,
@@ -180,15 +192,11 @@ def verify_gr_to_ainfty(
     """
     params = gr_to_ainfty_params(epsilon, lam)
     mode = mode or default_mode(wg.grid)
-    red = scan.Reduction(
-        lambda s: s.lvl - params.alpha * s.mass,
-        maximize=False,
-        level=params.beta,
-        floor=lambda s: -tol * s.mass,
-    )
-    gr, res = scan.reduce_family(wg, mode, (GR_RATIO, red))
+    margins = _margins(lambda s: s.lvl - params.alpha * s.mass, lambda s: s.mass, tol,
+                       level=params.beta)
+    gr, *res = scan.reduce_family(wg, mode, (GR_RATIO, *margins))
     require_gr(gr_result(gr, mode), epsilon)
-    return _margin_report(res, mode, tol)
+    return _margin_report(*res, mode, tol)
 
 
 def verify_ainfty_to_gr(
@@ -199,9 +207,11 @@ def verify_ainfty_to_gr(
 ) -> MarginReport:
     """Check osc(Q) <= 2(1 - alpha*beta) mean(Q) on every cube.
 
-    First re-checks the strict level-set condition with (alpha, beta) on
-    every positive-mean cube and refuses the input otherwise, naming the
-    first violating cube in canonical order.
+    The same walk measures alpha*(beta), the least level fraction over the
+    positive-mean cubes: the strict level-set condition with (alpha, beta)
+    holds exactly when alpha < alpha*(beta).  Otherwise the input is
+    refused, naming alpha*(beta) and its witness, the first cube in
+    canonical order of least level fraction.
     """
     mode = mode or default_mode(wg.grid)
     bound = ainfty_to_gr_bound(params)
@@ -210,19 +220,12 @@ def verify_ainfty_to_gr(
         osc = np.divide(s.osc, s.mass, out=np.zeros_like(s.osc), where=s.mass > 0)
         return bound * s.mean - osc
 
-    red = scan.Reduction(
-        margin,
-        maximize=False,
-        osc=True,
-        level=params.beta,
-        floor=lambda s: -tol * s.mean,
-        breach=(_level_fraction, params.alpha),
-    )
-    (res,) = scan.reduce_family(wg, mode, (red,))
-    if res.breach is not None:
+    reds = (_alpha_star(params.beta), *_margins(margin, lambda s: s.mean, tol, osc=True))
+    star, *res = scan.reduce_family(wg, mode, reds)
+    if star.best.value <= params.alpha:
         raise PreconditionError(
             f"input not in A_inf(alpha={params.alpha}, beta={params.beta}): "
-            f"level condition fails on cube {res.breach.cube}",
-            witness=res.breach.cube,
+            f"alpha*(beta) = {star.best.value} <= alpha, on cube {star.best.cube}",
+            witness=star.best.cube,
         )
-    return _margin_report(res, mode, tol)
+    return _margin_report(*res, mode, tol)

@@ -14,7 +14,7 @@ class ConfigurationError(ValueError):
 
 
 class DataValidationError(ValueError):
-    """Grid data refused: a malformed file, or data that validate() reports on."""
+    """Grid data refused: a malformed file, or data that validate() refuses."""
 
 
 class DomainError(ValueError):

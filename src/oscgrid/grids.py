@@ -32,7 +32,6 @@ __all__ = [
     "Cube",
     "EnumerationMode",
     "PrefixTable",
-    "ValidationReport",
     "validate",
     "enumerate_cubes",
     "cube_mass",
@@ -249,10 +248,10 @@ def box_sums(table: PrefixTable, origins: np.ndarray, side: int | np.ndarray) ->
 
 class WeightedGrid:
     """A grid plus per-cell measure masses and function values, valid by
-    construction: data that validate() reports on is refused with a
-    DataValidationError.  Arrays are stored read-only in grid shape
-    (row-major); prefix tables for the weights and the weight*value
-    products are built on first use and cached."""
+    construction: validate() refuses bad data with a DataValidationError.
+    Arrays are stored read-only in grid shape (row-major); prefix tables
+    for the weights and the weight*value products are built on first use
+    and cached."""
 
     def __init__(self, grid: Grid, weights, values):
         self.grid = grid
@@ -263,9 +262,7 @@ class WeightedGrid:
         self.weights = w
         self.values = v
         self.source_digest: str | None = None  # sha256 of the file it was loaded from
-        report = validate(self)
-        if not report.ok:
-            raise DataValidationError("; ".join(report.violations))
+        validate(self)
 
     @functools.cached_property
     def w_prefix(self) -> PrefixTable:
@@ -280,20 +277,14 @@ class WeightedGrid:
         return self.w_prefix.total
 
 
-@dataclass(frozen=True)
-class ValidationReport(Report):
-    ok: bool
-    violations: tuple[str, ...]
-
-
 _MAX_LISTED = 20
 
 
-def validate(wg: WeightedGrid) -> ValidationReport:
+def validate(wg: WeightedGrid) -> None:
     """The data rule: finite, non-negative weights and values, and some
-    weight > 0.  Lists the violations by cell (the first _MAX_LISTED of a
-    kind) rather than raising; the WeightedGrid constructor raises on a
-    report that is not ok, so no analysis sees invalid data."""
+    weight > 0.  Raises a DataValidationError that lists the violations by
+    cell (the first _MAX_LISTED of a kind); the WeightedGrid constructor
+    calls it, so no analysis sees invalid data."""
     violations: list[str] = []
 
     def _scan(arr: np.ndarray, name: str, pred, message: str):
@@ -309,7 +300,8 @@ def validate(wg: WeightedGrid) -> ValidationReport:
     _scan(wg.values, "value", lambda a: np.isfinite(a) & (a < 0), "negative value")
     if not np.any(wg.weights > 0):
         violations.append("zero total mass")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    if violations:
+        raise DataValidationError("; ".join(violations))
 
 
 def cube_mass(wg: WeightedGrid, cube: Cube) -> float:

@@ -106,9 +106,9 @@ def optimize_rh_exponent(
     """
     if not (0 < epsilon < 2):
         raise DomainError(f"need 0 < epsilon < 2, got {epsilon}")
-    if not (0 < delta < 1):
-        raise DomainError(f"need 0 < delta < 1, got {delta}")
     c = 1.0 - delta
+    if not (0 < c < 1):  # not delta > 0: a delta below float resolution leaves c = 1
+        raise DomainError(f"need 0 < delta < 1, got {delta} (and 1 - delta must round below 1)")
     lam_star = 2.0 * (math.sqrt(c * c + (2.0 - c) * (c + epsilon)) - c) / (2.0 - c)
     gap = max(1e-12 * (2.0 - epsilon), 1e-15)
     lam_star = min(max(lam_star, epsilon + gap), 2.0 - gap)

@@ -3,30 +3,31 @@
 Every exhaustive analysis in this package reduces some per-cube quantity
 (an oscillation ratio, a level-set fraction, an inequality margin, a
 reverse Holder ratio) over an enumerated cube family.  `reduce_family` is
-the one reduction loop: a `Reduction` names the per-cube value, its
-extremum, and optional "holds" and "first breach" checks, and one walk
-over the family, in batches of at most a few thousand cubes in canonical
-order whatever the mode, answers a whole tuple of them, keeping for each
-the first cube that attains its extremum.  So a command walks its family
-once for all it needs (epsilon and the whole alpha* profile; theorem1's
-precondition and its margin).
+the one reduction loop, and it answers extrema only: a `Reduction` names
+the per-cube value and its extremum, and every verdict compares an
+extremum with its limit.  One walk over the family, in batches of at most
+a few thousand cubes in canonical order whatever the mode, answers a whole
+tuple of reductions, keeping for each the first cube that attains its
+extremum.  So a command walks its family once for all it needs (epsilon
+and the whole alpha* profile; theorem1's precondition, its margin and the
+margin's slack over its tolerance).
 
 Means and masses come from prefix tables (O(2^n) per cube), once per
 batch.  The absolute deviation and the level mass are not prefix-summable:
 the window kernel gathers each cube's cells through numpy stride tricks,
 chunked so peak memory stays bounded, and computes Sum w*|v - mean| and
-Sum w*[v > threshold], for every reduction's threshold, from one gather.
-For 1D grids in "all" and "sample" mode both sums are also
-range-threshold queries, which the wavelet matrix of rangesum answers in
-O(log N) per cube with a rigorous error radius.  There each reduction
-screens its own rows of a batch (an index built for the walk, one range
-minimum per batch): only the cubes that could decide some result go
-through the kernel, whose per-row results do not depend on the batch
-around them, so every reported value, witness and flag is bit-identical
-to a full kernel scan.  On both paths a cube whose every cell is above
-the level threshold (a whole cube: the kernel's mask, the screen's range
-minimum) has level sum exactly its mass, so its level fraction is
-exactly 1, and the screen queries only the other cubes.
+Sum w*[v > threshold], for every distinct level, from one gather.  For 1D
+grids in "all" and "sample" mode both sums are also range-threshold
+queries, which the wavelet matrix of rangesum answers in O(log N) per cube
+with a rigorous error radius.  There the reductions that read the same
+kernel sum share one query of it per batch (an index built for the walk,
+one range minimum per batch), and each screens its rows with it: only the
+cubes that could be some extremum go through the kernel, whose per-row
+results do not depend on the batch around them, so every reported value
+and witness is bit-identical to a full kernel scan.  On both paths a cube
+whose every cell is above the level threshold (a whole cube: the kernel's
+mask, the screen's range minimum) has level sum exactly its mass, so its
+level fraction is exactly 1, and the screen queries only the other cubes.
 """
 
 from __future__ import annotations
@@ -121,24 +122,18 @@ class CubeStats(NamedTuple):
     lvl: np.ndarray | None = None  # Sum w*[v > level*mean]
     least: np.ndarray | None = None  # min v, on a screened walk with a level
 
-    def cube(self, i: int) -> Cube:
-        return Cube(tuple(self.origins[i]), self.sides[i])
-
 
 class Reduction(NamedTuple):
-    """A per-cube value reduced over a cube family, with optional checks.
+    """A per-cube value whose extremum is taken over a cube family.
 
     value(stats) is reduced over the valid cubes: positive mass, and
     positive Sum w*v when positive_mean.  osc and level say which kernel
-    sums it needs.  floor(stats): "holds" is true when value >= floor on
-    every valid cube.  breach = (quantity, limit): the first valid cube in
-    enumeration order with quantity(stats) <= limit.
-
-    value and quantity must each read at most one of stats.osc and
-    stats.lvl, and be monotone in it: the screen brackets them by
-    evaluating them at both ends of that sum's error interval.  A value
-    that reads neither (only prefix sums, through stats.sides and
-    stats.origins) needs no kernel and no screen.
+    sum it reads, stats.osc or stats.lvl: at most one, and monotone in it,
+    as the screen brackets it by evaluating it at both ends of that sum's
+    error interval.  A value that reads neither (only prefix sums, through
+    stats.sides and stats.origins) needs no kernel and no screen.  A
+    verdict is an extremum compared with its limit: "margin >= -tol*scale
+    on every cube" is "the least margin + tol*scale is >= 0".
     """
 
     value: Callable[[CubeStats], np.ndarray]
@@ -146,16 +141,12 @@ class Reduction(NamedTuple):
     osc: bool = False
     level: float | None = None
     positive_mean: bool = True
-    floor: Callable[[CubeStats], np.ndarray] | None = None
-    breach: tuple[Callable[[CubeStats], np.ndarray], float] | None = None
 
 
 class ReductionResult(NamedTuple):
     best: Candidate
-    holds: bool
     cubes: int
     skipped_zero_mean: int  # positive-mass cubes left out by positive_mean
-    breach: Candidate | None
 
 
 def reduce_family(
@@ -168,13 +159,14 @@ def reduce_family(
     Sum w*|v - mean| at most 2*Sum w*v, so a grid whose totals are finite
     has finite sums on every cube; any other grid is refused.
 
-    The rows of a batch that may decide a result (be an extremum, break a
-    "holds", or be a first breach) go through the window kernel once per
-    side, unless the screen rules them out for every reduction; the others
-    keep osc = 0 and level sums equal to their mass.  Each reduction folds
-    in the whole batch at once.  Batches come in canonical order and
-    argmax/argmin take the earliest row, so the earliest cube wins exact
-    ties.  A family with no valid cube is an empty measure.
+    The reductions are grouped by the kernel sum they read (osc, a level,
+    or none), and each group is screened with one query of its sum per
+    batch.  The rows of a batch that may be some extremum go through the
+    window kernel once per side; the others keep osc = 0 and level sums
+    equal to their mass.  Each reduction folds in the whole batch at once.
+    Batches come in canonical order and argmax/argmin take the earliest
+    row, so the earliest cube wins exact ties.  A family with no valid
+    cube is an empty measure.
     """
     with np.errstate(over="ignore"):  # an overflow shows up as an infinite total
         totals = wg.total_mass, 2 * wg.wv_prefix.total
@@ -183,8 +175,11 @@ def reduce_family(
             f"grid totals overflow float64: Sum w = {totals[0]}, 2*Sum w*v = {totals[1]}"
         )
     index = _screen_index(wg, mode, reds)
-    levels = np.array([red.level for red in reds if red.level is not None])
-    runs = [_Running(red, sum(r.level is not None for r in reds[:i])) for i, red in enumerate(reds)]
+    runs = [_Running(red) for red in reds]
+    readers: dict = {}  # each kernel sum ("osc", a level, or None) and the runs that read it
+    for run in runs:
+        readers.setdefault("osc" if run.red.osc else run.red.level, []).append(run)
+    levels = np.array([key for key in readers if key not in ("osc", None)])
     cubes = 0
     for sides, origins in iter_origin_batches(wg.grid, mode):
         least = None  # each cube's least value, for every level's whole cubes
@@ -193,8 +188,8 @@ def reduce_family(
         stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins), least=least)
         cubes += len(sides)
         need = np.zeros(len(sides), dtype=bool)
-        for run in runs:
-            need |= run.screen(index, stats)
+        for key, group in readers.items():
+            need |= _screen(index, stats, key, group)
         rows = np.flatnonzero(need)
         rows = rows[np.argsort(sides[rows], kind="stable")]
         osc, lvl, done = np.zeros(len(sides)), np.empty((levels.size, rows.size)), 0
@@ -204,106 +199,102 @@ def reduce_family(
                 thresholds=levels[:, None] * stats.mean[part], masses=stats.mass[part],
             )
             done += part.size
-        for run in runs:
-            run.fold(stats, osc, rows, lvl)
+        level_rows = iter(lvl)  # in the order of `levels`
+        for key, group in readers.items():
+            s = stats._replace(osc=osc) if key == "osc" else stats
+            if key not in ("osc", None):
+                s = stats._replace(lvl=stats.mass.copy())
+                s.lvl[rows] = next(level_rows)
+            for run in group:
+                run.fold(s)
+        s = level_rows = None  # so the next batch's kernel call runs without this one's arrays
     for run in runs:
         if run.best is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
             raise DomainError(f"empty measure: no cube has positive mass{suffix}")
-    return tuple(ReductionResult(r.best, r.holds, cubes, r.skipped, r.breach) for r in runs)
+    return tuple(ReductionResult(r.best, cubes, r.skipped) for r in runs)
+
+
+def _screen(index, s: CubeStats, key, group: list[_Running]) -> np.ndarray:
+    """Open the rows of a batch whose stats are `s` to each run of `group`,
+    which all read the kernel sum `key`, and return the rows whose kernel
+    sums they need.
+
+    Without an index (or a kernel sum) every valid row is open.  With one,
+    the sum is queried once for the group, and each run's value is
+    bracketed by evaluating it at both ends of the sum's error interval.  A
+    whole cube (every cell above the level threshold, by its least value)
+    has level sum exactly its mass: no query reads it, and no kernel row is
+    needed for it.
+    """
+    valid = np.logical_or.reduce([run.valid(s) for run in group])
+    if key is None or index is None or not valid.any():
+        return valid & (key is not None)
+    lo = s.origins[:, 0]
+    hi = lo + s.sides
+    if key == "osc":
+        est, rad = index.abs_deviation(lo, hi, s.mean)
+        low, high = s._replace(osc=est - rad), s._replace(osc=est + rad)
+    else:
+        theta = key * s.mean
+        whole = s.least > theta
+        low, high = s._replace(lvl=s.mass.copy()), s._replace(lvl=s.mass.copy())
+        ask = np.flatnonzero(valid & ~whole)
+        if ask.size:
+            est, rad = index.level_mass(lo[ask], hi[ask], theta[ask])
+            low.lvl[ask], high.lvl[ask] = est - rad, est + rad
+    opened = np.logical_or.reduce([run.screen(low, high) for run in group])
+    return opened if key == "osc" else opened & ~whole
 
 
 class _Running:
-    """A reduction's state in a walk: its results so far, the screen's bound,
-    and the batch rows open to its three checks (a mask, or None: no row)."""
+    """A reduction's state in a walk: its extremum so far, the screen's
+    bound, and the batch rows open to its extremum."""
 
-    def __init__(self, red: Reduction, row: int):
-        self.red, self.row = red, row  # row: its level sum's row in the kernel's output
-        self.best = self.bound = self.breach = None
-        self.holds, self.skipped = True, 0
+    def __init__(self, red: Reduction):
+        self.red = red
+        self.best = self.bound = None
+        self.skipped = 0
 
-    def screen(self, index, s: CubeStats) -> np.ndarray:
-        """Open the rows of a batch whose stats are `s` to the three checks,
-        and return the rows whose kernel sums they need.
-
-        Without an index (or kernel sums) every valid row is open.  With
-        one, each cube's value (and breach quantity) is bracketed by
-        evaluating it at both ends of its kernel sum's error interval.  A
-        cube stays open when its bracket reaches the running bound (the best
-        value some screened or refined cube is known to attain), when it
-        might fall below the floor while "holds" is still true, or when it
-        might be a breach while none is known.  The bound never passes the
-        true extremum, so the first cube attaining it is always refined.  A
-        whole cube (every cell above the level threshold, by its least
-        value) has level sum exactly its mass: no query reads it, and a
-        level alone needs no kernel row for it.
-        """
-        red = self.red
-        valid = (s.mass > 0) & (s.wv > 0) if red.positive_mean else s.mass > 0
+    def valid(self, s: CubeStats) -> np.ndarray:
+        """Open every valid row of a batch whose stats are `s`, counting the
+        positive-mass rows that positive_mean leaves out."""
+        valid = (s.mass > 0) & (s.wv > 0) if self.red.positive_mean else s.mass > 0
         self.skipped += int(np.count_nonzero(s.mass > 0) - np.count_nonzero(valid))
-        floor = red.floor is not None and self.holds
-        breach = red.breach is not None and self.breach is None
-        kernel = red.osc or red.level is not None
-        if index is None or not kernel or not valid.any():
-            self.open = valid, valid if floor else None, valid if breach else None
-            return valid & kernel
-        lo = s.origins[:, 0]
-        hi = lo + s.sides
-        osc = lvl = (None, None)
-        if red.osc:
-            est, rad = index.abs_deviation(lo, hi, s.mean)
-            osc = (est - rad, est + rad)
-        if red.level is not None:
-            theta = red.level * s.mean
-            whole = s.least > theta
-            lvl = (s.mass.copy(), s.mass.copy())
-            ask = np.flatnonzero(valid & ~whole)
-            if ask.size:
-                est, rad = index.level_mass(lo[ask], hi[ask], theta[ask])
-                lvl[0][ask], lvl[1][ask] = est - rad, est + rad
-        low = s._replace(osc=osc[0], lvl=lvl[0])
-        high = s._replace(osc=osc[1], lvl=lvl[1])
+        self.open = valid
+        return valid
+
+    def screen(self, low: CubeStats, high: CubeStats) -> np.ndarray:
+        """Keep open the valid rows whose value, bracketed between its values
+        at `low` and at `high`, reaches the running bound: the best value
+        some screened or refined cube is known to attain.  The bound never
+        passes the true extremum, so the first cube attaining it is always
+        refined."""
+        red, valid = self.red, self.open
+        if not valid.any():
+            return valid
         vmin, vmax = _bracket(red.value, low, high)
         better = np.greater if red.maximize else np.less
         edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
         if self.bound is None or better(edge, self.bound):
             self.bound = edge
-        extremum = valid & ~better(self.bound, vmax if red.maximize else vmin)
-        below = valid & (vmin < red.floor(low)) if floor else None
-        maybe = valid & (_bracket(red.breach[0], low, high)[0] <= red.breach[1]) if breach else None
-        self.open = extremum, below, maybe
-        opened = np.logical_or.reduce([m for m in self.open if m is not None])
-        return opened if red.osc else opened & ~whole
+        self.open = valid & ~better(self.bound, vmax if red.maximize else vmin)
+        return self.open
 
-    def fold(self, s: CubeStats, osc, rows, lvl) -> None:
-        """Fold in a batch whose stats are `s`, kernel sums osc and, at the
-        batch rows `rows`, level sums lvl; the other rows' level sums are
-        their masses."""
-        ext, below, maybe = (None if m is None or not m.any() else m for m in self.open)
-        if ext is None and below is None and maybe is None:
+    def fold(self, s: CubeStats) -> None:
+        """Fold in the open rows of a batch whose stats `s` carry the kernel
+        sum the value reads."""
+        if not self.open.any():
             return
-        red, level = self.red, None
-        if red.level is not None:
-            level = s.mass.copy()
-            level[rows] = lvl[self.row]
-        s = s._replace(osc=osc, lvl=level)
+        red = self.red
         with np.errstate(all="ignore"):  # a value past float64 reads inf or nan, as reported
             values, better = red.value(s), np.greater if red.maximize else np.less
-        if ext is not None:
-            masked = np.where(ext, values, -np.inf if red.maximize else np.inf)
-            i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
-            if self.best is None or better(values[i], self.best.value):
-                self.best = Candidate(float(values[i]), s.cube(i))
-                if self.bound is None or better(values[i], self.bound):
-                    self.bound = self.best.value
-        if below is not None:
-            self.holds = self.holds and bool(np.all(values[below] >= red.floor(s)[below]))
-        if maybe is not None:  # only while no breach is known
-            q = red.breach[0](s)
-            hit = np.flatnonzero(maybe & (q <= red.breach[1]))
-            if hit.size:  # always, when the screen saw a certain breach
-                i = int(hit[0])
-                self.breach = Candidate(float(q[i]), s.cube(i))
+        masked = np.where(self.open, values, -np.inf if red.maximize else np.inf)
+        i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
+        if self.best is None or better(values[i], self.best.value):
+            self.best = Candidate(float(values[i]), Cube(tuple(s.origins[i]), s.sides[i]))
+            if self.bound is None or better(values[i], self.bound):
+                self.bound = self.best.value
 
 
 def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):

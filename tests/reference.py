@@ -21,6 +21,7 @@ from oscgrid import (
     DomainError,
     EnumerationMode,
     Grid,
+    MarginReport,
     PreconditionError,
     WeightedGrid,
 )
@@ -97,6 +98,55 @@ def naive_alpha_profile(wg: WeightedGrid, beta: float, mode: EnumerationMode):
     if best is None:
         raise ValueError("empty measure")
     return best
+
+
+def naive_verify_gr_to_ainfty(wg: WeightedGrid, epsilon: float, lam: float,
+                              mode: EnumerationMode, tol: float) -> MarginReport:
+    """verify_gr_to_ainfty cube by cube: refused with naive_gr_epsilon's
+    witness outside GR(epsilon), else the margin mu{f > beta*mean} -
+    alpha*mu(Q) with (alpha, beta) = (1 - lambda/2, 1 - epsilon/lambda)."""
+    eps, witness = naive_gr_epsilon(wg, mode)
+    if eps > epsilon:
+        raise PreconditionError(f"not in GR({epsilon})", witness=witness)
+    alpha, beta = 1.0 - lam / 2.0, 1.0 - epsilon / lam
+    return _naive_margins(wg, mode, tol, lambda w, v, mass, mean: (
+        float(np.sum(w[v > beta * mean])) - alpha * mass, mass))
+
+
+def naive_verify_ainfty_to_gr(wg: WeightedGrid, params, mode: EnumerationMode,
+                              tol: float) -> MarginReport:
+    """verify_ainfty_to_gr cube by cube: refused with naive_alpha_profile's
+    witness when alpha*(beta) <= alpha, else the margin
+    2(1 - alpha*beta)*mean - osc."""
+    alpha, beta = params.alpha, params.beta
+    frac, witness = naive_alpha_profile(wg, beta, mode)
+    if frac <= alpha:
+        raise PreconditionError(f"not in A_inf({alpha}, {beta})", witness=witness)
+    bound = 2.0 * (1.0 - alpha * beta)
+    return _naive_margins(wg, mode, tol, lambda w, v, mass, mean: (
+        bound * mean - float(np.sum(w * np.abs(v - mean))) / mass, mean))
+
+
+def _naive_margins(wg, mode, tol, margin) -> MarginReport:
+    """The first least margin over the positive-mean cubes, and holds: every
+    such cube's margin >= -tol*scale, by margin(w, v, mass, mean) = (margin, scale)."""
+    cubes = naive_cubes(wg.grid, mode)
+    worst, holds, skipped = None, True, 0
+    for cube in cubes:
+        w, v, mass, wv, mean = _cube_stats(wg, cube)
+        if mass <= 0:
+            continue
+        if wv <= 0:
+            skipped += 1
+            continue
+        m, scale = margin(w, v, mass, mean)
+        holds = holds and bool(m >= -tol * scale)
+        if worst is None or m < worst[0]:
+            worst = (m, cube)
+    if worst is None:
+        raise ValueError("empty measure")
+    return MarginReport(worst_margin=float(worst[0]), witness=worst[1], mode=mode, holds=holds,
+                        cubes_scanned=len(cubes), skipped_zero_mean=skipped, tolerance=tol)
 
 
 def naive_rh_constant(wg: WeightedGrid, p: float, mode: EnumerationMode):

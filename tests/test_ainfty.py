@@ -22,7 +22,14 @@ from oscgrid import (
 
 from oscgrid import grids, scan
 from conftest import random_float_grid, random_integer_grid
-from reference import naive_alpha_profile, naive_cubes, naive_gr_epsilon, naive_rh_constant
+from reference import (
+    naive_alpha_profile,
+    naive_cubes,
+    naive_gr_epsilon,
+    naive_rh_constant,
+    naive_verify_ainfty_to_gr,
+    naive_verify_gr_to_ainfty,
+)
 
 ALL = EnumerationMode.all()
 
@@ -130,11 +137,46 @@ def test_sampled_2d_3d_scans_batch_draws_by_side(monkeypatch, chunk):
             mass, wv = float(np.sum(w)), float(np.sum(w * v))
             if mass > 0 and wv > 0:
                 fractions.append((float(np.sum(w * (v > 0.5 * (wv / mass)))) / mass, cube))
-        for alpha in sorted({f for f, _ in fractions})[:2]:
-            first = next(cube for f, cube in fractions if f <= alpha)
+        for alpha in sorted({f for f, _ in fractions})[:2]:  # the refusal names alpha*'s witness
             with pytest.raises(PreconditionError) as err:
                 verify_ainfty_to_gr(wg, LevelParams(alpha, 0.5), mode)
-            assert err.value.witness == first
+            assert err.value.witness == naive_alpha_profile(wg, 0.5, mode)[1]
+
+
+def test_theorem1_verifications_equal_their_naive_oracles():
+    # integer grids keep every sum exact, so the walk and the per-cube loops
+    # agree bit for bit: reports, refusals and their witnesses.  Each
+    # direction also runs at the tolerance where holds is decided at a
+    # cube's margin/scale, and one ulp to either side: fwd's margin/mass is
+    # the level fraction minus alpha, least at alpha*'s witness; rev's
+    # margin/mean is the bound minus osc/mean, least near epsilon's witness
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except PreconditionError as err:
+            return "refused", err.witness
+
+    rng = np.random.default_rng(37)
+    decided = {"fwd": set(), "rev": set()}
+    for shape in [(16,), (8, 8), (4, 4, 4)]:
+        for mode in (ALL, EnumerationMode.dyadic(), EnumerationMode.sample(150, seed=4)):
+            wg = random_integer_grid(rng, shape, max_weight=4, max_value=6)
+            eps = naive_gr_epsilon(wg, mode)[0]
+            params = gr_to_ainfty_params(eps, 1.5)
+            at_beta = naive_alpha_profile(wg, params.beta, mode)[0]
+            half = LevelParams(naive_alpha_profile(wg, 0.5, mode)[0] / 2, 0.5)
+            runs = [("fwd", verify_gr_to_ainfty, naive_verify_gr_to_ainfty, (wg, e, 1.5, mode), tol)
+                    for e, tol in ((eps, 1e-12), (eps * 0.99, 1e-12), (eps, params.alpha - at_beta))]
+            runs += [("rev", verify_ainfty_to_gr, naive_verify_ainfty_to_gr, (wg, p, mode), tol)
+                     for p, tol in ((half, 1e-12), (LevelParams(2 * half.alpha, 0.5), 1e-12),
+                                    (half, eps - ainfty_to_gr_bound(half)))]
+            for direction, fn, naive, args, tol in runs:
+                for t in (np.nextafter(tol, -1), tol, np.nextafter(tol, 1)):
+                    got = outcome(fn, *args, float(t))
+                    assert got == outcome(naive, *args, float(t)), (direction, mode, tol)
+                    if tol < 0:
+                        decided[direction].add(got.holds)
+    assert decided == {"fwd": {True, False}, "rev": {True, False}}
 
 
 def test_whole_cubes_have_level_fraction_exactly_one(monkeypatch):
@@ -176,6 +218,15 @@ def test_forward_params_limits():
     assert p2.beta == pytest.approx(0.0, abs=1e-11)
     with pytest.raises(DomainError):
         gr_to_ainfty_params(1.5, 1.0)
+
+
+def test_forward_params_that_round_onto_one_name_epsilon_and_lambda():
+    # 1 - 1e-17/2 and 1 - 5e-17 round to 1: no strict certificate in float64
+    for epsilon, lam, got in ((5e-18, 1e-17, "(1.0, 0.5)"), (5e-17, 1.0, "(0.5, 1.0)")):
+        with pytest.raises(DomainError) as err:
+            gr_to_ainfty_params(epsilon, lam)
+        assert str(err.value).startswith(f"no certificate from epsilon={epsilon} lambda={lam}")
+        assert str(err.value).endswith(f"got {got}")
 
 
 def test_reverse_bound_paper_constants():

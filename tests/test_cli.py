@@ -77,7 +77,8 @@ def test_theorem1_fwd_refuses_a_beta_that_rounds_to_one(tmp_path, capsys):
     argv = ["theorem1", str(path), "--direction", "fwd", "--lambda", "1.0", "--epsilon"]
     code, out, err = run_cli(capsys, *argv, "5e-17")
     assert (code, out) == (2, "")
-    assert err == "error: alpha and beta must lie in (0,1), got (0.5, 1.0)\n"
+    assert err == ("error: no certificate from epsilon=5e-17 lambda=1.0, as (1 - lambda/2, "
+                   "1 - epsilon/lambda): alpha and beta must lie in (0,1), got (0.5, 1.0)\n")
     code, out, _ = run_cli(capsys, *argv, "1e-16")
     assert code == 0
     assert json.loads(out)["payload"]["report"]["worst_margin"] == 0.125
@@ -89,8 +90,7 @@ def test_rh_auto_refuses_a_delta_below_float_resolution(tmp_path, capsys):
                                 "values": [1, 2, 3, 4, 5, 6, 7, 9]}))
     code, out, err = run_cli(capsys, "rh", str(path), "--auto", "--delta", "1e-17")
     assert (code, out) == (2, "")
-    assert err.startswith("error: need 0 < rho < 1 - lambda/2, got rho=0.43173361336172866")
-    assert err.count("\n") == 1
+    assert err == "error: need 0 < delta < 1, got 1e-17 (and 1 - delta must round below 1)\n"
     # without --delta, the optimizer's own default
     code, out, _ = run_cli(capsys, "rh", str(path), "--auto")
     auto = json.loads(out)["payload"]["auto"]

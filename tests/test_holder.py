@@ -144,8 +144,9 @@ def test_lambda_star_stays_inside_the_open_interval(eps):
 
 
 def test_optimizer_refuses_a_rho_that_rounds_onto_its_open_constraint():
-    # c = 1 - 1e-17 rounds to 1, so rho_star would be exactly 1 - lambda_star/2
-    with pytest.raises(DomainError, match="^need 0 < rho < 1 - lambda/2"):
+    # c = 1 - 1e-17 rounds to 1, so rho_star would be exactly 1 - lambda_star/2:
+    # the refusal names delta
+    with pytest.raises(DomainError, match=r"^need 0 < delta < 1, got 1e-17 \(and 1 - delta"):
         optimize_rh_exponent(0.3, delta=1e-17)
 
 

@@ -2,7 +2,7 @@
 
 `reduce_family` answers a tuple of reductions in one walk over the family:
 one gather per side and block gives the oscillation and every level sum.
-Each result (value, witness, holds, cube counts, first breach) must equal
+Each result (value, witness, cube counts) must equal
 the result of scanning that reduction alone, bit for bit, on every scan
 path: the 1D screen, the 1D kernel path of a grid the screen cannot
 bound, 2D and 3D batches of one side and sampled batches of mixed sides,
@@ -34,15 +34,17 @@ def _rev_margin(s):
 REDUCTIONS = (
     scan.Reduction(_ratio, maximize=True, osc=True, positive_mean=False),
     *(scan.Reduction(_fraction, maximize=False, level=beta) for beta in (0.05, 0.4, 0.9)),
-    # floors that fail on some cases, and one that always holds
-    scan.Reduction(lambda s: s.lvl - 0.3 * s.mass, maximize=False, level=0.5,
-                   floor=lambda s: -1e-12 * s.mass),
-    scan.Reduction(_ratio, maximize=False, osc=True, floor=lambda s: np.zeros_like(s.mass)),
-    # osc and level together, with a breach that occurs and one that cannot
-    scan.Reduction(_rev_margin, maximize=False, osc=True, level=0.5,
-                   floor=lambda s: -1e-12 * s.mean, breach=(_fraction, 0.6)),
-    scan.Reduction(_rev_margin, maximize=False, osc=True, level=0.7,
-                   floor=lambda s: -1e-12 * s.mean, breach=(_fraction, 0.0)),
+    # a margin and its slack over the floor -1e-12*mass, negative on some
+    # cases; a value whose slack over the floor 0 is itself, never negative
+    scan.Reduction(lambda s: s.lvl - 0.3 * s.mass, maximize=False, level=0.5),
+    scan.Reduction(lambda s: s.lvl - 0.3 * s.mass + 1e-12 * s.mass, maximize=False, level=0.5),
+    scan.Reduction(_ratio, maximize=False, osc=True),
+    # osc and a level in one walk: a margin and its slack, and two least
+    # level fractions, at or below 0.6 on some cases and above 0.0 on all
+    scan.Reduction(_rev_margin, maximize=False, osc=True),
+    scan.Reduction(lambda s: _rev_margin(s) + 1e-12 * s.mean, maximize=False, osc=True),
+    scan.Reduction(_fraction, maximize=False, level=0.5),
+    scan.Reduction(_fraction, maximize=False, level=0.7),
     # prefix sums only: no kernel sum and no screen
     scan.Reduction(lambda s: s.mean, maximize=True),
 )
@@ -87,11 +89,11 @@ def test_one_walk_equals_separate_walks(monkeypatch, cells, cubes):
 
 def test_the_cases_reach_every_check():
     results = [scan.reduce_family(wg, mode, REDUCTIONS) for wg, mode in CASES]
-    for i in (4, 6):
-        assert {res[i].holds for res in results} == {True, False}
-    assert all(res[5].holds for res in results)
-    assert {res[6].breach is None for res in results} == {True, False}
-    assert all(res[7].breach is None for res in results)
+    for slack in (5, 8):  # holds is the least slack >= 0
+        assert {res[slack].best.value >= 0 for res in results} == {True, False}
+    assert all(res[6].best.value >= 0 for res in results)
+    assert {res[9].best.value <= 0.6 for res in results} == {True, False}  # a breach
+    assert all(res[10].best.value > 0.0 for res in results)
 
 
 def test_one_gather_per_side_and_block(monkeypatch):

@@ -146,19 +146,21 @@ def _fraction(s):
     return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
 
 
-# the reductions of theorem1 fwd and rev, with alpha* at two betas, in one walk;
-# then a floor every valid cube is certain to fail, and a breach every valid
-# cube is certain to be
+# the reductions of theorem1 fwd and rev (margins, their slacks and rev's
+# alpha*), with alpha* at two more betas, in one walk; then a slack that is
+# negative on every valid cube, and the largest and least level fractions
+# at one level (every valid cube's fraction is at most 1.0)
 ONE_WALK = (
     scan.Reduction(_fraction, maximize=False, level=0.3),
-    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6,
-                   floor=lambda s: -1e-12 * s.mass),
-    scan.Reduction(_margin, maximize=False, osc=True, level=0.5,
-                   floor=lambda s: -1e-12 * s.mean, breach=(_fraction, 0.6)),
+    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6),
+    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass + 1e-12 * s.mass, maximize=False, level=0.6),
+    scan.Reduction(_margin, maximize=False, osc=True),
+    scan.Reduction(lambda s: _margin(s) + 1e-12 * s.mean, maximize=False, osc=True),
+    scan.Reduction(_fraction, maximize=False, level=0.5),
     scan.Reduction(_fraction, maximize=False, level=0.9),
-    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass, maximize=False, level=0.6,
-                   floor=lambda s: s.mass),
-    scan.Reduction(_fraction, maximize=True, level=0.7, breach=(_fraction, 1.0)),
+    scan.Reduction(lambda s: s.lvl - 0.2 * s.mass - s.mass, maximize=False, level=0.6),
+    scan.Reduction(_fraction, maximize=True, level=0.7),
+    scan.Reduction(_fraction, maximize=False, level=0.7),
 )
 
 
@@ -190,15 +192,15 @@ def test_holds_decided_by_the_kernel_at_an_exact_floor():
     def both_paths(wg, mode, red):
         (screened,) = scan.reduce_family(wg, mode, (red,))
         assert (screened,) == full_kernel(scan.reduce_family, wg, mode, (red,))
-        return screened.holds
+        return screened.best.value >= 0
 
     for wg in hard_grids(5, 12, max_n=40):
         for mode in MODES:
             low = scan.Reduction(ratio, maximize=False, osc=True, positive_mean=False)
             lowest = scan.reduce_family(wg, mode, (low,))[0].best.value
             for floor, holds in ((lowest, True), (np.nextafter(lowest, np.inf), False)):
-                red = scan.Reduction(ratio, maximize=True, osc=True, positive_mean=False,
-                                     floor=lambda s: np.full_like(s.mass, floor))
+                red = scan.Reduction(lambda s: ratio(s) - floor, maximize=False, osc=True,
+                                     positive_mean=False)
                 assert both_paths(wg, mode, red) is holds
 
 
@@ -245,6 +247,29 @@ def test_one_range_minimum_per_screened_batch(monkeypatch):
     epsilon_and_profile(wg, np.linspace(0.05, 0.95, 19), EnumerationMode.all())
     # 32,896 cubes in batches of 8,192: one minimum per batch, not one per level
     assert calls == {"build": 1, "range_min": 5}
+
+
+def test_one_query_per_kernel_sum_per_batch(monkeypatch):
+    # theorem1 fwd reads osc (epsilon) and one level (its margin and the
+    # margin's slack); rev reads one level (alpha*) and osc (its margin and
+    # slack): each sum is queried once per batch, whatever reads it
+    calls = []
+    for name in ("level_mass", "abs_deviation"):
+        def counted(self, *args, name=name, query=getattr(RangeThresholdIndex, name)):
+            calls.append(name)
+            return query(self, *args)
+
+        monkeypatch.setattr(RangeThresholdIndex, name, counted)
+    rng = np.random.default_rng(10)
+    wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
+    mode = EnumerationMode.all()
+    eps, alpha = gr_epsilon(wg, mode).epsilon, alpha_profile(wg, 0.5, mode)[0]
+    for verify in (lambda: verify_gr_to_ainfty(wg, eps, 1.5, mode),
+                   lambda: verify_ainfty_to_gr(wg, LevelParams(alpha / 2, 0.5), mode)):
+        calls.clear()
+        verify()
+        # 32,896 cubes in batches of 8,192
+        assert 0 < calls.count("level_mass") <= 5 and calls.count("abs_deviation") == 5
 
 
 def test_whole_cubes_never_reach_the_query(monkeypatch):
