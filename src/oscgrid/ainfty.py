@@ -129,7 +129,7 @@ def alpha_profile(
     """
     mode = mode or default_mode(wg.grid)
     (res,) = scan.reduce_family(wg, mode, (_alpha_star(beta),))
-    return res.best.value, res.best.cube
+    return res.value, res.witness
 
 
 def epsilon_and_profile(
@@ -139,7 +139,7 @@ def epsilon_and_profile(
     reds = tuple(_alpha_star(float(beta)) for beta in betas)
     mode = mode or default_mode(wg.grid)
     gr, *alphas = scan.reduce_family(wg, mode, (GR_RATIO, *reds))
-    return gr_result(gr, mode), [(res.best.value, res.best.cube) for res in alphas]
+    return gr_result(gr, mode), [(res.value, res.witness) for res in alphas]
 
 
 def _check_beta(beta: float) -> None:
@@ -153,7 +153,7 @@ def _alpha_star(beta: float) -> scan.Reduction:
 
 
 def _level_fraction(s: scan.CubeStats) -> np.ndarray:
-    return np.divide(s.lvl, s.mass, out=np.ones_like(s.lvl), where=s.mass > 0)
+    return s.lvl / s.mass
 
 
 def _margins(value, scale, tol: float, **sums) -> tuple[scan.Reduction, scan.Reduction]:
@@ -166,10 +166,10 @@ def _margins(value, scale, tol: float, **sums) -> tuple[scan.Reduction, scan.Red
 
 def _margin_report(res, slack, mode: EnumerationMode, tol: float) -> MarginReport:
     return MarginReport(
-        worst_margin=res.best.value,
-        witness=res.best.cube,
+        worst_margin=res.value,
+        witness=res.witness,
         mode=mode,
-        holds=slack.best.value >= 0,
+        holds=slack.value >= 0,
         cubes_scanned=res.cubes,
         skipped_zero_mean=res.skipped_zero_mean,
         tolerance=tol,
@@ -217,15 +217,14 @@ def verify_ainfty_to_gr(
     bound = ainfty_to_gr_bound(params)
 
     def margin(s: scan.CubeStats) -> np.ndarray:
-        osc = np.divide(s.osc, s.mass, out=np.zeros_like(s.osc), where=s.mass > 0)
-        return bound * s.mean - osc
+        return bound * s.mean - s.osc / s.mass
 
     reds = (_alpha_star(params.beta), *_margins(margin, lambda s: s.mean, tol, osc=True))
     star, *res = scan.reduce_family(wg, mode, reds)
-    if star.best.value <= params.alpha:
+    if star.value <= params.alpha:
         raise PreconditionError(
             f"input not in A_inf(alpha={params.alpha}, beta={params.beta}): "
-            f"alpha*(beta) = {star.best.value} <= alpha, on cube {star.best.cube}",
-            witness=star.best.cube,
+            f"alpha*(beta) = {star.value} <= alpha, on cube {star.witness}",
+            witness=star.witness,
         )
     return _margin_report(*res, mode, tol)

@@ -6,7 +6,8 @@ tool version, the sha256 digest of the input file, and the enumeration
 mode, so identical inputs reproduce byte-identical output.
 
 Exit codes: 0 = success / inequality holds, 1 = inequality fails,
-2 = usage or validation error, 3 = mathematical precondition failure.
+2 = usage or validation error (or too little memory), 3 = mathematical
+precondition failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .holder import (
     TailBoundParams,
     optimize_rh_exponent,
     rh_constant,
+    rh_exponent_bound,
     tail_covering,
     verify_rearrangement_bound,
 )
@@ -215,20 +217,17 @@ def _cmd_rh(args, wg, mode):
         gr = gr_epsilon(wg, mode)
         if gr.epsilon <= 0:
             raise DomainError("measured epsilon is 0 (constant data); pass --p explicitly")
+        lam_star, rho_star, p = optimize_rh_exponent(gr.epsilon, delta=delta)
         overlap = 1.0
         if args.b_from_covering:
-            overlap, constants = _measured_overlap(wg, gr.epsilon, delta)
-            payload["covering"] = constants
-        lam_star, rho_star, p_star = optimize_rh_exponent(
-            gr.epsilon, overlap=overlap, delta=delta
-        )
-        p = p_star
+            overlap, payload["covering"] = _measured_overlap(wg, lam_star, rho_star)
+            p = rh_exponent_bound(gr.epsilon, lam_star, rho_star, overlap)
         payload["auto"] = {
             "measured_epsilon": gr.epsilon,
             "overlap": overlap,
             "lambda_star": lam_star,
             "rho_star": rho_star,
-            "p_star": p_star,
+            "p_star": p,
         }
     else:
         if args.p is None:
@@ -240,12 +239,11 @@ def _cmd_rh(args, wg, mode):
     return payload, EXIT_OK, f"rh: c_hat={c_hat:.6g} at p={p:.6g}"
 
 
-def _measured_overlap(wg, epsilon: float, delta: float):
+def _measured_overlap(wg, lam: float, rho: float):
     """Overlap constant achieved by the covering construction at the
-    optimizer's own parameter choice, fed back in place of the a-priori
-    bound.  One fixed-point step: optimize with overlap 1, then take the
-    overlap of tail_covering at that (lambda, rho) and t = rho * mu(Q_0)."""
-    lam, rho, _ = optimize_rh_exponent(epsilon, overlap=1.0, delta=delta)
+    optimizer's (lambda*, rho*), which do not depend on the overlap, fed
+    back in place of the a-priori bound: the overlap of tail_covering at
+    (lambda*, rho*) and t = rho* mu(Q_0), with the covering's constants."""
     _, cover = tail_covering(wg, rearrangement(wg), rho * wg.total_mass, lam, rho)
     return float(cover.overlap), {
         "rho_lo": cover.rho_lo, "rho_hi": cover.rho_hi,
@@ -259,7 +257,7 @@ def _cmd_generate(args) -> int:
         text = Path(text[1:]).read_text()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigurationError(f"spec json: {exc}") from exc
     spec = GenSpec.from_json(obj)
     wg = generate(spec)
@@ -343,6 +341,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except (ConfigurationError, DataValidationError, DomainError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

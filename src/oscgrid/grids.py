@@ -94,6 +94,10 @@ class Grid:
     def is_square(self) -> bool:
         return len(set(self.shape)) == 1
 
+    def is_dyadic(self) -> bool:
+        """Equal power-of-two sides: the shape a dyadic family needs."""
+        return self.is_square() and self.shape[0] & (self.shape[0] - 1) == 0
+
 
 @dataclass(frozen=True)
 class Cube(Report):
@@ -162,10 +166,8 @@ class EnumerationMode(Report):
 
     @classmethod
     def parse(cls, text: str) -> "EnumerationMode":
-        if text == "all":
-            return cls.all()
-        if text == "dyadic":
-            return cls.dyadic()
+        if text in ("all", "dyadic"):
+            return cls(text)
         if text.startswith("sample:"):
             try:
                 count, seed = map(int, text.split(":")[1:])
@@ -188,17 +190,13 @@ def default_mode(grid: Grid) -> EnumerationMode:
     the shape is not an equal power of two and the dimension allows it)."""
     if grid.dim == 1:
         return EnumerationMode.all()
-    if grid.is_square() and _is_pow2(grid.shape[0]):
+    if grid.is_dyadic():
         return EnumerationMode.dyadic()
     if grid.dim <= 3:
         return EnumerationMode.all()
     raise ConfigurationError(
         f"no default enumeration mode for shape {grid.shape}; pass one explicitly"
     )
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 class PrefixTable:
@@ -317,7 +315,7 @@ def family_counts(grid: Grid, mode: EnumerationMode) -> tuple[np.ndarray, ...]:
     if mode.tag != "dyadic":
         sides = np.arange(1, grid.min_side + 1, dtype=np.int64)
         steps = np.ones_like(sides)
-    elif grid.is_square() and _is_pow2(grid.shape[0]):
+    elif grid.is_dyadic():
         sides = steps = 1 << np.arange(grid.shape[0].bit_length(), dtype=np.int64)
     else:
         raise ConfigurationError(

@@ -280,13 +280,13 @@ def rh_constant(
         psum = box_sums(wvp_prefix, s.origins, s.sides)
         return (psum / s.mass) ** inv_p / s.mean
 
-    best = scan.reduce_family(wg, mode, (scan.Reduction(ratio, maximize=True),))[0].best
+    (best,) = scan.reduce_family(wg, mode, (scan.Reduction(ratio, maximize=True),))
     if not math.isfinite(best.value):
         raise DomainError(
-            f"c_hat is not finite at p={p}: Sum w*v^p or the ratio overflows on cube {best.cube}"
+            f"c_hat is not finite at p={p}: Sum w*v^p or the ratio overflows on cube {best.witness}"
         )
     lost = np.argwhere((wvp < np.finfo(np.float64).tiny) & (wg.weights > 0) & (wg.values > 0))
     if lost.size:
         cell = tuple(lost[0].tolist())
         raise DomainError(f"c_hat is not measurable at p={p}: w*v^p underflows on cell {cell}")
-    return best.value, best.cube
+    return best.value, best.witness

@@ -121,4 +121,4 @@ GR_RATIO = scan.Reduction(_gr_ratio, maximize=True, osc=True, positive_mean=Fals
 
 
 def gr_result(res: scan.ReductionResult, mode: EnumerationMode) -> GRResult:
-    return GRResult(res.best.value, res.best.cube, mode, res.cubes)
+    return GRResult(res.value, res.witness, mode, res.cubes)

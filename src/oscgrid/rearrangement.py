@@ -66,18 +66,9 @@ def rearrangement(wg: WeightedGrid) -> StepFunction:
     return StepFunction(breakpoints=breakpoints, levels=levels, total_mass=float(cum[-1]))
 
 
-def _segment_index(sf: StepFunction, t: np.ndarray) -> np.ndarray:
-    if np.any(t <= 0) or np.any(t > sf.total_mass * (1 + 1e-12)) or not np.all(np.isfinite(t)):
-        raise DomainError(f"t must lie in (0, {sf.total_mass}]")
-    idx = np.searchsorted(sf.breakpoints, t, side="right")
-    return np.minimum(idx, sf.levels.size - 1)
-
-
 def evaluate(sf: StepFunction, t) -> float | np.ndarray:
     """fstar(t) with the right-continuous convention; scalar or array t."""
-    t_arr = np.asarray(t, dtype=np.float64)
-    out = sf.levels[_segment_index(sf, t_arr)]
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return tail_identity_parts(sf, t)[0]
 
 
 def average(sf: StepFunction, t) -> float | np.ndarray:
@@ -89,7 +80,9 @@ def average(sf: StepFunction, t) -> float | np.ndarray:
 def tail_identity_parts(sf: StepFunction, t) -> tuple:
     """(fstar(t), mu{f > fstar(t)}, Sum_{v > fstar(t)} w*v) for the tail identity."""
     t_arr = np.asarray(t, dtype=np.float64)
-    idx = _segment_index(sf, t_arr)
+    if not np.all((t_arr > 0) & (t_arr <= sf.total_mass * (1 + 1e-12))):  # nan fails both
+        raise DomainError(f"t must lie in (0, {sf.total_mass}]")
+    idx = np.minimum(np.searchsorted(sf.breakpoints, t_arr, side="right"), sf.levels.size - 1)
     widths = np.diff(sf.breakpoints, prepend=0.0)
     cumint = np.cumsum(sf.levels * widths)
     star = sf.levels[idx]

@@ -53,13 +53,6 @@ _CHUNK_CELLS = 1 << 21
 MAX_LEVELS = _CHUNK_CELLS // _CHUNK_CUBES  # level thresholds per cube that a batch can hold
 
 
-class Candidate(NamedTuple):
-    """Extremum candidate: value and cube."""
-
-    value: float
-    cube: Cube
-
-
 def gather_windows(arr: np.ndarray, side: int, origins: np.ndarray) -> np.ndarray:
     """Cells of each cube as rows (k, side**dim), row-major within the cube."""
     view = sliding_window_view(arr, (side,) * arr.ndim)
@@ -126,14 +119,16 @@ class CubeStats(NamedTuple):
 class Reduction(NamedTuple):
     """A per-cube value whose extremum is taken over a cube family.
 
-    value(stats) is reduced over the valid cubes: positive mass, and
-    positive Sum w*v when positive_mean.  osc and level say which kernel
-    sum it reads, stats.osc or stats.lvl: at most one, and monotone in it,
-    as the screen brackets it by evaluating it at both ends of that sum's
-    error interval.  A value that reads neither (only prefix sums, through
-    stats.sides and stats.origins) needs no kernel and no screen.  A
-    verdict is an extremum compared with its limit: "margin >= -tol*scale
-    on every cube" is "the least margin + tol*scale is >= 0".
+    value(stats) is evaluated on whole batches and reduced over the valid
+    cubes, which the walk alone decides (_Running.valid): positive mass,
+    and positive Sum w*v when positive_mean.  Its value on any other row is
+    never read, so it needs no guard against a zero mass.  osc and level
+    say which kernel sum it reads, stats.osc or stats.lvl: at most one, and
+    monotone in it, as the screen brackets it by evaluating it at both ends
+    of that sum's error interval.  A value that reads neither (only prefix
+    sums, through stats.sides and stats.origins) needs no kernel and no
+    screen.  A verdict is an extremum compared with its limit: "margin >=
+    -tol*scale on every cube" is "the least margin + tol*scale is >= 0".
     """
 
     value: Callable[[CubeStats], np.ndarray]
@@ -144,7 +139,10 @@ class Reduction(NamedTuple):
 
 
 class ReductionResult(NamedTuple):
-    best: Candidate
+    """A reduction's extremum and its witness, the earliest cube attaining it."""
+
+    value: float
+    witness: Cube
     cubes: int
     skipped_zero_mean: int  # positive-mass cubes left out by positive_mean
 
@@ -209,10 +207,10 @@ def reduce_family(
                 run.fold(s)
         s = level_rows = None  # so the next batch's kernel call runs without this one's arrays
     for run in runs:
-        if run.best is None:
+        if run.witness is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
             raise DomainError(f"empty measure: no cube has positive mass{suffix}")
-    return tuple(ReductionResult(r.best, cubes, r.skipped) for r in runs)
+    return tuple(ReductionResult(r.value, r.witness, cubes, r.skipped) for r in runs)
 
 
 def _screen(index, s: CubeStats, key, group: list[_Running]) -> np.ndarray:
@@ -253,7 +251,7 @@ class _Running:
 
     def __init__(self, red: Reduction):
         self.red = red
-        self.best = self.bound = None
+        self.value = self.witness = self.bound = None
         self.skipped = 0
 
     def valid(self, s: CubeStats) -> np.ndarray:
@@ -291,10 +289,10 @@ class _Running:
             values, better = red.value(s), np.greater if red.maximize else np.less
         masked = np.where(self.open, values, -np.inf if red.maximize else np.inf)
         i = int(np.argmax(masked) if red.maximize else np.argmin(masked))
-        if self.best is None or better(values[i], self.best.value):
-            self.best = Candidate(float(values[i]), Cube(tuple(s.origins[i]), s.sides[i]))
+        if self.witness is None or better(values[i], self.value):
+            self.value, self.witness = float(values[i]), Cube(tuple(s.origins[i]), s.sides[i])
             if self.bound is None or better(values[i], self.bound):
-                self.bound = self.best.value
+                self.bound = self.value
 
 
 def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction, ...]):

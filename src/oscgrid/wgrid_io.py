@@ -55,7 +55,7 @@ def _load_json(path: Path) -> tuple[WeightedGrid, str]:
     text, digest = _read(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataValidationError(f"json: {exc}") from exc
     del text  # the parsed lists hold the data now; the text would only add to the peak
     if not isinstance(obj, dict):

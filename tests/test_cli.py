@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oscgrid import EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent
-from oscgrid import grids, scan
+from oscgrid import cli, grids, scan
 from oscgrid.cli import build_parser, main
 from oscgrid.wgrid_io import save_wgrid
 
@@ -97,6 +97,26 @@ def test_rh_auto_refuses_a_delta_below_float_resolution(tmp_path, capsys):
     assert code == 0
     assert (auto["lambda_star"], auto["rho_star"], auto["p_star"]) == optimize_rh_exponent(
         auto["measured_epsilon"])
+
+
+def test_rh_auto_with_the_covering_overlap_optimizes_once(tmp_path, capsys, monkeypatch):
+    # lambda* and rho* do not depend on the overlap: p* is the exponent bound at them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return optimize_rh_exponent(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_rh_exponent", counted)
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "g.json")
+    values = np.exp(0.5 * rng.standard_normal(64))  # a covering of overlap 4
+    save_wgrid(WeightedGrid(Grid((64,)), np.ones(64), values), path)
+    code, out, _ = run_cli(capsys, "rh", path, "--auto", "--B-from-covering")
+    auto = json.loads(out)["payload"]["auto"]
+    assert code == 0 and len(calls) == 1 and auto["overlap"] > 1
+    assert (auto["lambda_star"], auto["rho_star"], auto["p_star"]) == optimize_rh_exponent(
+        auto["measured_epsilon"], auto["overlap"])
 
 
 def test_analyze_plot_dir(tmp_path, capsys):
@@ -609,6 +629,16 @@ _USAGE_ERRORS = [
     (["analyze", "shape-zero.json"], "every axis needs at least one cell"),
     (["generate", "--spec", "@missing.json"], "No such file or directory: 'missing.json'"),
     (["generate", "--spec", "{bad"], "spec json: "),
+    (["theorem1", "--epsilon", "1.5", "--lambda", "1.8", "--tolerance", "abc"],
+     "argument --tolerance: need a finite tolerance >= 0, got 'abc'"),
+    (["generate", "--spec", '{"kind": "spike", "shape": [4], "kind_params": {"height": 1}}'],
+     "spike needs parameter 'position'"),
+    (["generate", "--spec", '{"kind": "spike", "shape": [4], "kind_params": {"height": 1, '
+      '"position": 0}, "measure_kind": "bogus"}'], "unknown measure kind 'bogus'"),
+    (["analyze", "shape-4d.json"], "no default enumeration mode for shape (3, 3, 3, 3)"),
+    (["analyze", "shape-4d.json", "--mode", "all"],
+     "exhaustive enumeration is limited to dimensions 1..3"),
+    (["analyze", "negative.json"], "negative weight at cell 19; ...and 2 more weight violations"),
 ]
 
 # grid files of their own for the refusals above
@@ -619,6 +649,8 @@ _INPUTS = {
     "shape-int.json": {"dim": 1, "shape": 5, "weights": [1] * 5, "values": [1] * 5},
     "shape-empty.json": {"dim": 0, "shape": [], "weights": [], "values": []},
     "shape-zero.json": {"dim": 1, "shape": [0], "weights": [], "values": []},
+    "shape-4d.json": {"dim": 4, "shape": [3] * 4, "weights": [1] * 81, "values": [1] * 81},
+    "negative.json": {"dim": 1, "shape": [22], "weights": [-1] * 22, "values": [1] * 22},
 }
 
 
@@ -640,6 +672,42 @@ def test_out_of_range_counts_and_tolerances_are_usage_errors(tmp_path, capsys, a
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("where", ["analyze", "analyze-values", "generate"])
+def test_json_nested_too_deep_is_one_error_line(tmp_path, capsys, where):
+    # the decoder's recursion limit, reached by 100,000 nested lists
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    if where == "analyze-values":
+        deep = '{"dim": 1, "shape": [2], "weights": [1, 1], "values": ' + deep + "}"
+    path.write_text(deep)
+    argv = ["generate", "--spec", f"@{path}", "--out", str(tmp_path / "out.json")]
+    code, out, err = run_cli(capsys, *(argv if where == "generate" else ["analyze", str(path)]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "json: maximum recursion depth exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", '{"kind": "random", "shape": [1099511627776], '
+     '"kind_params": {"seed": 1, "log_sigma": 1}}'],
+    ["analyze"],
+])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # numpy's MemoryError, raised where the allocation would be: nothing is allocated
+    message = "Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", no_memory)
+    monkeypatch.setattr(cli, "epsilon_and_profile", no_memory)
+    out_path = tmp_path / "out.json"
+    tail = ["--out", str(out_path)] if argv[0] == "generate" else [write_two_cell(tmp_path)]
+    code, out, err = run_cli(capsys, *argv, *tail)
+    assert (code, out, err) == (2, "", f"error: out of memory: {message}\n")
     assert not (tmp_path / "out.json").exists()
 
 

@@ -1,4 +1,4 @@
-"""Two bit-exact properties of the measured constants on generated grids.
+"""Properties of the measured constants that the paper fixes, on generated grids.
 
 Family inclusion: the dyadic and sampled families are subsets of `all`,
 and a sub-family cannot raise a sup or lower an inf, so epsilon over a
@@ -11,33 +11,75 @@ Power-of-two scaling: multiplying w by 2^k and v by 2^j changes no bit of
 a float ratio or comparison on these grids (no subnormal or overflowing
 value appears), so epsilon and every alpha* are bit-identical.
 
+Theorem 1 holds cube by cube, in both directions, and c_hat >= 1 by the
+power-mean inequality: theorem1 fwd holds at the measured epsilon for any
+lambda in (epsilon, 2), theorem1 rev below the measured alpha*(beta), and
+these hold under every family.
+
 Grids are 1D, 2D and 3D with power-of-two sides, log-normal weights
 (sigma 2) and values (sigma 1); every fourth seed puts a 1e10 atom on one
-cell.
+cell.  The theorem properties scale one cell's weight by 10^k instead, k
+up to 12 in 1D, 10 in 2D and 7 in 3D: heavier atoms break them today,
+and two such grids are kept as expected failures.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscgrid import EnumerationMode, Grid, WeightedGrid, epsilon_and_profile
+from oscgrid import (
+    DomainError,
+    EnumerationMode,
+    Grid,
+    LevelParams,
+    WeightedGrid,
+    epsilon_and_profile,
+    rh_constant,
+    verify_ainfty_to_gr,
+    verify_gr_to_ainfty,
+)
 
 BETAS = (0.25, 0.5, 0.75)
 # power-of-two sides per dimension, up to 64, 16^2 and 8^3 cells
 _SIDES = {1: (16, 32, 64), 2: (4, 8, 16), 3: (2, 4, 8)}
 
 
+def _seeded(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng, np.exp(2.0 * rng.standard_normal(shape)), np.exp(rng.standard_normal(shape))
+
+
+def _shape_and_seed(draw):
+    dim = draw(st.integers(1, 3))
+    return (draw(st.sampled_from(_SIDES[dim])),) * dim, draw(st.integers(0, 2**16))
+
+
 @st.composite
 def _grids(draw):
-    dim = draw(st.integers(1, 3))
-    shape = (draw(st.sampled_from(_SIDES[dim])),) * dim
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
-    w = np.exp(2.0 * rng.standard_normal(shape))
-    v = np.exp(rng.standard_normal(shape))
+    shape, seed = _shape_and_seed(draw)
+    rng, w, v = _seeded(shape, seed)
     if seed % 4 == 0:
         w.flat[int(rng.integers(0, w.size))] *= 1e10
     return seed, w, v
+
+
+def _with_atom(shape, seed, exponent):
+    rng, w, v = _seeded(shape, seed)
+    w.flat[int(rng.integers(0, w.size))] *= 10.0**exponent
+    return WeightedGrid(Grid(shape), w, v)
+
+
+# per dimension, the heaviest atom (a power of ten) under which the theorem
+# properties held on every one of 20,160 seeded cases; past it a light
+# cube's prefix-table sums lose their digits next to the atom
+_ATOM_EXPONENT = {1: 12, 2: 10, 3: 7}
+
+
+@st.composite
+def _atom_grids(draw):
+    shape, seed = _shape_and_seed(draw)
+    return seed, _with_atom(shape, seed, draw(st.integers(0, _ATOM_EXPONENT[len(shape)])))
 
 
 def _measure(shape, w, v, mode):
@@ -65,3 +107,33 @@ def test_power_of_two_scaling_keeps_every_bit(grid):
         base = _measure(w.shape, w, v, mode)
         for k, j in ((3, -2), (-5, 7)):
             assert _measure(w.shape, w * 2.0**k, v * 2.0**j, mode) == base, (mode.label(), k, j)
+
+
+def _check_theorem_properties(wg, mode):
+    gr, alphas = epsilon_and_profile(wg, BETAS, mode)
+    for k in (1, 2):
+        lam = gr.epsilon + k * (2 - gr.epsilon) / 3
+        assert verify_gr_to_ainfty(wg, gr.epsilon, lam, mode).holds, (mode.label(), k)
+    for beta, (alpha_star, _) in zip(BETAS, alphas):
+        params = LevelParams(alpha=alpha_star / 2, beta=beta)
+        assert verify_ainfty_to_gr(wg, params, mode).holds, (mode.label(), beta)
+    for p in (1.5, 2.0):
+        assert rh_constant(wg, p, mode)[0] >= 1, (mode.label(), p)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_atom_grids())
+def test_theorem1_holds_at_the_measured_constants_and_c_hat_is_at_least_one(grid):
+    seed, wg = grid
+    for mode in (EnumerationMode.all(), EnumerationMode.dyadic(), EnumerationMode.sample(200, seed)):
+        _check_theorem_properties(wg, mode)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DomainError),
+                   reason="a light cube's prefix-table sums lose their digits next to the atom")
+@pytest.mark.parametrize("shape, seed, exponent", [
+    ((2, 2, 2), 11, 8),  # fwd: epsilon 8.6e-7 on a single cell, whose exact osc is 0
+    ((16, 16), 5, 12),  # rev: alpha*(0.75) reads 0 on a single cell, exactly 1
+])
+def test_theorem1_fails_next_to_heavier_atoms(shape, seed, exponent):
+    _check_theorem_properties(_with_atom(shape, seed, exponent), EnumerationMode.all())

@@ -10,6 +10,7 @@ from oscgrid import (
     CoveringResult,
     Cube,
     DataValidationError,
+    DomainError,
     EnumerationMode,
     GenSpec,
     Grid,
@@ -108,6 +109,19 @@ def test_mode_parse_roundtrip():
         EnumerationMode.parse("sample:100")
     assert default_mode(Grid((8,))) == EnumerationMode.all()
     assert default_mode(Grid((8, 8))) == EnumerationMode.dyadic()
+
+
+_FOUR = WeightedGrid(Grid((4,)), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EnumerationMode("bogus"), ConfigurationError, "^unknown enumeration mode 'bogus'$"),
+    (lambda: cube_mass(_FOUR, Cube((0, 0), 1)), DomainError, r"side=1\) does not fit grid shape"),
+    (lambda: cube_mass(_FOUR, Cube((0,), 0)), DomainError, r"side=0\) does not fit grid shape"),
+])
+def test_modes_and_cubes_outside_their_rules_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_sample_count_is_bounded():

@@ -143,6 +143,12 @@ def test_lambda_star_stays_inside_the_open_interval(eps):
         assert rho > 0 and p >= 1
 
 
+@pytest.mark.parametrize("eps", [0.0, 2.0, -1.0, float("nan")])
+def test_optimizer_refuses_epsilon_outside_the_open_interval(eps):
+    with pytest.raises(DomainError, match=f"^need 0 < epsilon < 2, got {eps}$"):
+        optimize_rh_exponent(eps)
+
+
 def test_optimizer_refuses_a_rho_that_rounds_onto_its_open_constraint():
     # c = 1 - 1e-17 rounds to 1, so rho_star would be exactly 1 - lambda_star/2:
     # the refusal names delta

@@ -90,10 +90,10 @@ def test_one_walk_equals_separate_walks(monkeypatch, cells, cubes):
 def test_the_cases_reach_every_check():
     results = [scan.reduce_family(wg, mode, REDUCTIONS) for wg, mode in CASES]
     for slack in (5, 8):  # holds is the least slack >= 0
-        assert {res[slack].best.value >= 0 for res in results} == {True, False}
-    assert all(res[6].best.value >= 0 for res in results)
-    assert {res[9].best.value <= 0.6 for res in results} == {True, False}  # a breach
-    assert all(res[10].best.value > 0.0 for res in results)
+        assert {res[slack].value >= 0 for res in results} == {True, False}
+    assert all(res[6].value >= 0 for res in results)
+    assert {res[9].value <= 0.6 for res in results} == {True, False}  # a breach
+    assert all(res[10].value > 0.0 for res in results)
 
 
 def test_one_gather_per_side_and_block(monkeypatch):

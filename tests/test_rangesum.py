@@ -192,12 +192,12 @@ def test_holds_decided_by_the_kernel_at_an_exact_floor():
     def both_paths(wg, mode, red):
         (screened,) = scan.reduce_family(wg, mode, (red,))
         assert (screened,) == full_kernel(scan.reduce_family, wg, mode, (red,))
-        return screened.best.value >= 0
+        return screened.value >= 0
 
     for wg in hard_grids(5, 12, max_n=40):
         for mode in MODES:
             low = scan.Reduction(ratio, maximize=False, osc=True, positive_mean=False)
-            lowest = scan.reduce_family(wg, mode, (low,))[0].best.value
+            lowest = scan.reduce_family(wg, mode, (low,))[0].value
             for floor, holds in ((lowest, True), (np.nextafter(lowest, np.inf), False)):
                 red = scan.Reduction(lambda s: ratio(s) - floor, maximize=False, osc=True,
                                      positive_mean=False)
@@ -296,7 +296,7 @@ def test_whole_cubes_never_reach_the_query(monkeypatch):
                         np.full(64, 2.0))
     queried.clear()
     at_mean = scan.Reduction(_fraction, maximize=False, level=1.0)
-    assert scan.reduce_family(flat, EnumerationMode.all(), (at_mean,))[0].best.value == 0.0
+    assert scan.reduce_family(flat, EnumerationMode.all(), (at_mean,))[0].value == 0.0
     assert sum(len(lo) for lo, _, _ in queried) == 64 * 65 // 2
 
 
