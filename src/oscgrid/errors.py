@@ -1,9 +1,9 @@
-"""Exception types shared across the package.
-
-Three failure categories are kept apart because the CLI maps them to
-different exit codes: bad configuration or data (exit 2), mathematical
-domain errors (exit 2), and violated mathematical preconditions such as
-"input is not in GR(eps)" (exit 3).
+"""Exception types shared across the package, one per kind of failure:
+a request outside the program's rules (ConfigurationError: a flag, mode,
+shape or spec), grid data it refuses (DataValidationError), and a quantity
+asked for outside its domain (DomainError), each exit 2 in the CLI; and a
+theorem's hypothesis failing on valid data (PreconditionError, exit 3),
+which carries the witness cube.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ function value (f constant on the cell).  Subcubes are cell-aligned with
 equal integer side in every axis.  Aggregate queries (cube mass, weighted
 sums over a cube) go through padded prefix-sum tables, so a single query
 costs O(2^n) lookups.  Cube families (every subcube in dims 1..3, dyadic
-cubes in any dimension, a seeded sample) come in batches of at most a few
-thousand cubes, decoded from their positions in the canonical order.
+cubes, a seeded sample) come in batches of at most a few thousand cubes,
+decoded from their positions in the canonical order.
 
 Cell weights are masses on purpose: strongly non-doubling measures are
 expressed directly by wildly varying weights with no quadrature convention
@@ -65,9 +65,9 @@ class Grid:
     """Regular grid over the unit cube.
 
     shape[k] is the cell count along axis k; the cell edge along axis k is
-    1/shape[k].  Dimensions 1..3 support exhaustive subcube enumeration;
-    dyadic enumeration works in any dimension with an equal power-of-two
-    shape.
+    1/shape[k].  Exhaustive subcube enumeration needs dimension 1..3 and
+    dyadic enumeration an equal power-of-two shape.  A shape whose padded
+    prefix tables, prod(n_k + 1) entries, exceed 8 times its cells is refused.
     """
 
     shape: tuple[int, ...]
@@ -78,6 +78,8 @@ class Grid:
         if any(int(n) < 1 for n in self.shape):
             raise ConfigurationError(f"every axis needs at least one cell, got shape {self.shape}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        if math.prod(n + 1 for n in self.shape) > 8 * self.ncells:  # (1, 1, 1) is exactly 8
+            raise ConfigurationError(f"shape {self.shape} has prefix tables over 8 times its cells")
 
     @property
     def dim(self) -> int:
@@ -86,10 +88,6 @@ class Grid:
     @property
     def ncells(self) -> int:
         return math.prod(self.shape)
-
-    @property
-    def min_side(self) -> int:
-        return min(self.shape)
 
     def is_square(self) -> bool:
         return len(set(self.shape)) == 1
@@ -153,14 +151,6 @@ class EnumerationMode(Report):
             object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
-    def all(cls) -> "EnumerationMode":
-        return cls("all")
-
-    @classmethod
-    def dyadic(cls) -> "EnumerationMode":
-        return cls("dyadic")
-
-    @classmethod
     def sample(cls, count: int, seed: int) -> "EnumerationMode":
         return cls("sample", count=count, seed=seed)
 
@@ -189,11 +179,11 @@ def default_mode(grid: Grid) -> EnumerationMode:
     """all for 1D; dyadic for higher dimensions (falling back to all when
     the shape is not an equal power of two and the dimension allows it)."""
     if grid.dim == 1:
-        return EnumerationMode.all()
+        return EnumerationMode("all")
     if grid.is_dyadic():
-        return EnumerationMode.dyadic()
+        return EnumerationMode("dyadic")
     if grid.dim <= 3:
-        return EnumerationMode.all()
+        return EnumerationMode("all")
     raise ConfigurationError(
         f"no default enumeration mode for shape {grid.shape}; pass one explicitly"
     )
@@ -313,7 +303,7 @@ def family_counts(grid: Grid, mode: EnumerationMode) -> tuple[np.ndarray, ...]:
     """Per-side sides (ascending), origin strides and the cumsum of the cube
     counts of the family of `mode`; a sample draws from the "all" family."""
     if mode.tag != "dyadic":
-        sides = np.arange(1, grid.min_side + 1, dtype=np.int64)
+        sides = np.arange(1, min(grid.shape) + 1, dtype=np.int64)
         steps = np.ones_like(sides)
     elif grid.is_dyadic():
         sides = steps = 1 << np.arange(grid.shape[0].bit_length(), dtype=np.int64)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import PrefixTable
+from .grids import PrefixTable, WeightedGrid
 
 __all__ = ["RangeThresholdIndex"]
 
@@ -60,21 +60,22 @@ def _gamma(n):
 
 class RangeThresholdIndex:
     """Radix-4 wavelet matrix over the value ranks of a 1D grid, weighted by
-    w and w*v, with a sparse table of range minima of v."""
+    w and w*v, with a sparse table of range minima of v.  Its radii read
+    the grid's own totals of w and w*v (WeightedGrid's prefix tables)."""
 
-    def __init__(self, weights: np.ndarray, values: np.ndarray):
-        n = weights.size
+    def __init__(self, wg: WeightedGrid):
+        values, n = wg.values, wg.values.size
         order = np.argsort(values, kind="stable")
         self.sorted_values = values[order]
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(1, n + 1)
         self.levels = -(-n.bit_length() // _DIGIT_BITS)  # _RADIX**levels > n >= any rank
         with np.errstate(over="ignore"):  # an overflow leaves `finite` false
-            w, wv = weights, weights * values
+            w, wv = wg.weights, wg.weights * values
         self._entry_err = U + 1.01 * n * PrefixTable.ACC_U
         # totals of w and fl(w*v), grown by the rounding of the tables
-        self.total_w = PrefixTable(w).total * (1 + 2 * self._entry_err)
-        self.total_wv = PrefixTable(wv).total * (1 + 2 * self._entry_err)
+        self.total_w = wg.total_mass * (1 + 2 * self._entry_err)
+        self.total_wv = wg.wv_prefix.total * (1 + 2 * self._entry_err)
         self.finite = bool(np.isfinite(self.total_wv * 64) and np.isfinite(
             self.total_w * max(float(self.sorted_values[-1]), 1.0) * 64))
         # per level and digit d, a row of n+1 entries in each table, read

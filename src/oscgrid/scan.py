@@ -120,7 +120,7 @@ class Reduction(NamedTuple):
     """A per-cube value whose extremum is taken over a cube family.
 
     value(stats) is evaluated on whole batches and reduced over the valid
-    cubes, which the walk alone decides (_Running.valid): positive mass,
+    cubes, which the walk alone decides, once per batch: positive mass,
     and positive Sum w*v when positive_mean.  Its value on any other row is
     never read, so it needs no guard against a zero mass.  osc and level
     say which kernel sum it reads, stats.osc or stats.lvl: at most one, and
@@ -177,14 +177,20 @@ def reduce_family(
     readers: dict = {}  # each kernel sum ("osc", a level, or None) and the runs that read it
     for run in runs:
         readers.setdefault("osc" if run.red.osc else run.red.level, []).append(run)
-    levels = np.array([key for key in readers if key not in ("osc", None)])
-    cubes = 0
+    slot = {key: row for row, key in enumerate(k for k in readers if k not in ("osc", None))}
+    levels = np.array(list(slot))  # each level's row of the kernel's level sums
+    cubes = zero_mean = 0
     for sides, origins in iter_origin_batches(wg.grid, mode):
         least = None  # each cube's least value, for every level's whole cubes
         if index is not None and levels.size:
             least = index.range_min(origins[:, 0], origins[:, 0] + sides)
         stats = CubeStats(sides, origins, *batch_mass_mean(wg, sides, origins), least=least)
         cubes += len(sides)
+        massive = stats.mass > 0
+        valid = {False: massive, True: massive & (stats.wv > 0)}  # by positive_mean
+        zero_mean += int(np.count_nonzero(massive) - np.count_nonzero(valid[True]))
+        for run in runs:
+            run.open = valid[run.red.positive_mean]
         need = np.zeros(len(sides), dtype=bool)
         for key, group in readers.items():
             need |= _screen(index, stats, key, group)
@@ -197,35 +203,35 @@ def reduce_family(
                 thresholds=levels[:, None] * stats.mean[part], masses=stats.mass[part],
             )
             done += part.size
-        level_rows = iter(lvl)  # in the order of `levels`
         for key, group in readers.items():
             s = stats._replace(osc=osc) if key == "osc" else stats
-            if key not in ("osc", None):
+            if key in slot:
                 s = stats._replace(lvl=stats.mass.copy())
-                s.lvl[rows] = next(level_rows)
+                s.lvl[rows] = lvl[slot[key]]
             for run in group:
                 run.fold(s)
-        s = level_rows = None  # so the next batch's kernel call runs without this one's arrays
+        s = None  # so the next batch's kernel call runs without this one's arrays
     for run in runs:
         if run.witness is None:
             suffix = " and positive mean" if run.red.positive_mean else ""
             raise DomainError(f"empty measure: no cube has positive mass{suffix}")
-    return tuple(ReductionResult(r.value, r.witness, cubes, r.skipped) for r in runs)
+    return tuple(ReductionResult(r.value, r.witness, cubes, zero_mean if r.red.positive_mean else 0)
+                 for r in runs)
 
 
 def _screen(index, s: CubeStats, key, group: list[_Running]) -> np.ndarray:
-    """Open the rows of a batch whose stats are `s` to each run of `group`,
-    which all read the kernel sum `key`, and return the rows whose kernel
-    sums they need.
+    """Screen the valid rows of a batch whose stats are `s`, open to each
+    run of `group` (all reading the kernel sum `key`), and return the rows
+    whose kernel sums they need.
 
-    Without an index (or a kernel sum) every valid row is open.  With one,
+    Without an index (or a kernel sum) every valid row stays open.  With one,
     the sum is queried once for the group, and each run's value is
     bracketed by evaluating it at both ends of the sum's error interval.  A
     whole cube (every cell above the level threshold, by its least value)
     has level sum exactly its mass: no query reads it, and no kernel row is
     needed for it.
     """
-    valid = np.logical_or.reduce([run.valid(s) for run in group])
+    valid = np.logical_or.reduce([run.open for run in group])
     if key is None or index is None or not valid.any():
         return valid & (key is not None)
     lo = s.origins[:, 0]
@@ -251,16 +257,7 @@ class _Running:
 
     def __init__(self, red: Reduction):
         self.red = red
-        self.value = self.witness = self.bound = None
-        self.skipped = 0
-
-    def valid(self, s: CubeStats) -> np.ndarray:
-        """Open every valid row of a batch whose stats are `s`, counting the
-        positive-mass rows that positive_mean leaves out."""
-        valid = (s.mass > 0) & (s.wv > 0) if self.red.positive_mean else s.mass > 0
-        self.skipped += int(np.count_nonzero(s.mass > 0) - np.count_nonzero(valid))
-        self.open = valid
-        return valid
+        self.value = self.witness = self.bound = self.open = None
 
     def screen(self, low: CubeStats, high: CubeStats) -> np.ndarray:
         """Keep open the valid rows whose value, bracketed between its values
@@ -269,11 +266,12 @@ class _Running:
         passes the true extremum, so the first cube attaining it is always
         refined."""
         red, valid = self.red, self.open
-        if not valid.any():
-            return valid
-        vmin, vmax = _bracket(red.value, low, high)
+        with np.errstate(all="ignore"):  # an end past float64 is infinite: the cube stays open
+            a, b = red.value(low), red.value(high)
+        vmin, vmax = np.minimum(a, b), np.maximum(a, b)
         better = np.greater if red.maximize else np.less
-        edge = np.max(vmin[valid]) if red.maximize else np.min(vmax[valid])
+        edge = (np.max(vmin[valid], initial=-np.inf) if red.maximize
+                else np.min(vmax[valid], initial=np.inf))
         if self.bound is None or better(edge, self.bound):
             self.bound = edge
         self.open = valid & ~better(self.bound, vmax if red.maximize else vmin)
@@ -303,12 +301,6 @@ def _screen_index(wg: WeightedGrid, mode: EnumerationMode, reds: tuple[Reduction
         if any(red.osc or red.level is not None for red in reds):
             from .rangesum import RangeThresholdIndex  # so `import oscgrid` loads no rangesum
 
-            index = RangeThresholdIndex(wg.weights, wg.values)
+            index = RangeThresholdIndex(wg)
             return index if index.finite else None
     return None
-
-
-def _bracket(fn, low: CubeStats, high: CubeStats):
-    with np.errstate(all="ignore"):  # an end past float64 is infinite: the cube stays open
-        a, b = fn(low), fn(high)
-    return np.minimum(a, b), np.maximum(a, b)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from oscgrid import EnumerationMode, GenSpec, generate
 
-ALL = EnumerationMode.all()
-DYADIC = EnumerationMode.dyadic()
+ALL = EnumerationMode("all")
+DYADIC = EnumerationMode("dyadic")
 
 
 def _spike(n, position, height=1.0):

@@ -34,14 +34,14 @@ def naive_cubes(grid: Grid, mode: EnumerationMode) -> list[Cube]:
     dyadic cubes; a sample draws positions of the "all" order, uniformly
     with replacement from the seeded generator, in draw order."""
     if mode.tag == "sample":
-        family = naive_cubes(grid, EnumerationMode.all())
+        family = naive_cubes(grid, EnumerationMode("all"))
         drawn = np.random.default_rng(mode.seed).integers(0, len(family), size=mode.count)
         return [family[int(i)] for i in drawn]
     dyadic = mode.tag == "dyadic"
     if dyadic:
         sides = [1 << k for k in range(grid.shape[0].bit_length())]
     else:
-        sides = range(1, grid.min_side + 1)
+        sides = range(1, min(grid.shape) + 1)
     cubes = []
     for side in sides:
         step = side if dyadic else 1

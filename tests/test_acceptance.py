@@ -26,8 +26,8 @@ from reference import (
     naive_rh_constant,
 )
 
-ALL = EnumerationMode.all()
-DYADIC = EnumerationMode.dyadic()
+ALL = EnumerationMode("all")
+DYADIC = EnumerationMode("dyadic")
 
 
 def criterion(num, description, limit_s):

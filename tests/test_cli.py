@@ -568,7 +568,7 @@ def test_theorem2_names_the_family_a_covering_cube_is_missing_from(tmp_path, cap
     wg = WeightedGrid(Grid((16,)), np.full(16, 1 / 16), values)
     path = str(tmp_path / "g.json")
     save_wgrid(wg, path)
-    eps = gr_epsilon(wg, EnumerationMode.dyadic()).epsilon
+    eps = gr_epsilon(wg, EnumerationMode("dyadic")).epsilon
     assert round(eps, 5) == 0.29521
     lam, rho, _ = optimize_rh_exponent(eps)
     code, out, err = run_cli(capsys, "theorem2", path, "--mode", "dyadic", "--epsilon",
@@ -639,6 +639,7 @@ _USAGE_ERRORS = [
     (["analyze", "shape-4d.json", "--mode", "all"],
      "exhaustive enumeration is limited to dimensions 1..3"),
     (["analyze", "negative.json"], "negative weight at cell 19; ...and 2 more weight violations"),
+    (["analyze", "shape-1111.json"], "shape (1, 1, 1, 1) has prefix tables over 8 times"),
 ]
 
 # grid files of their own for the refusals above
@@ -651,6 +652,7 @@ _INPUTS = {
     "shape-zero.json": {"dim": 1, "shape": [0], "weights": [], "values": []},
     "shape-4d.json": {"dim": 4, "shape": [3] * 4, "weights": [1] * 81, "values": [1] * 81},
     "negative.json": {"dim": 1, "shape": [22], "weights": [-1] * 22, "values": [1] * 22},
+    "shape-1111.json": {"dim": 4, "shape": [1, 1, 1, 1], "weights": [1], "values": [1]},
 }
 
 

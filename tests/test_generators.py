@@ -10,7 +10,7 @@ from oscgrid import (
     measured_epsilon,
 )
 
-ALL = EnumerationMode.all()
+ALL = EnumerationMode("all")
 
 
 def test_two_level_constant_gives_zero_epsilon():
@@ -77,7 +77,7 @@ def test_regime_coverage():
 def test_epsilon_monotone_in_power_exponent():
     # regression table: measured epsilon non-decreasing in a at fixed N
     eps = [
-        measured_epsilon(GenSpec("power", (1024,), {"a": a}), EnumerationMode.dyadic())
+        measured_epsilon(GenSpec("power", (1024,), {"a": a}), EnumerationMode("dyadic"))
         for a in np.arange(0.1, 0.95, 0.1)
     ]
     assert all(x <= y + 1e-15 for x, y in zip(eps, eps[1:]))
@@ -108,5 +108,5 @@ def test_2d_spike_and_random():
     wg = generate(GenSpec("spike", (8, 8), {"height": 2.0, "position": 12}))
     assert wg.values.ravel()[12] == 2.0 and wg.values.sum() == 2.0
     wg2 = generate(GenSpec("random", (8, 8), {"seed": 3, "log_sigma": 1.0}))
-    res = gr_epsilon(wg2, EnumerationMode.dyadic())
+    res = gr_epsilon(wg2, EnumerationMode("dyadic"))
     assert 0 < res.epsilon < 2

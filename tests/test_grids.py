@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +55,8 @@ def test_validate_rejects_nan():
 
 def test_enumeration_counts_1d():
     grid = Grid((4,))
-    assert len(list(enumerate_cubes(grid, EnumerationMode.all()))) == 10
-    assert len(list(enumerate_cubes(grid, EnumerationMode.dyadic()))) == 7
+    assert len(list(enumerate_cubes(grid, EnumerationMode("all")))) == 10
+    assert len(list(enumerate_cubes(grid, EnumerationMode("dyadic")))) == 7
 
 
 def test_enumeration_count_2d_all():
@@ -62,11 +64,11 @@ def test_enumeration_count_2d_all():
     grid = Grid((4, 4))
     expected = sum((4 - s + 1) ** 2 for s in range(1, 5))
     assert expected == 30
-    assert len(list(enumerate_cubes(grid, EnumerationMode.all()))) == 30
+    assert len(list(enumerate_cubes(grid, EnumerationMode("all")))) == 30
 
 
 def test_enumeration_canonical_order():
-    cubes = list(enumerate_cubes(Grid((3,)), EnumerationMode.all()))
+    cubes = list(enumerate_cubes(Grid((3,)), EnumerationMode("all")))
     assert cubes[:3] == [Cube((0,), 1), Cube((1,), 1), Cube((2,), 1)]
     assert cubes[3:] == [Cube((0,), 2), Cube((1,), 2), Cube((0,), 3)]
 
@@ -74,7 +76,7 @@ def test_enumeration_canonical_order():
 @pytest.mark.parametrize("shape", [(7,), (16,), (5, 4), (6, 6)])
 def test_enumeration_all_exhaustive_unique(shape):
     grid = Grid(shape)
-    seen = list(enumerate_cubes(grid, EnumerationMode.all()))
+    seen = list(enumerate_cubes(grid, EnumerationMode("all")))
     assert len(seen) == len(set(seen))
     brute = set()
     for side in range(1, min(shape) + 1):
@@ -98,17 +100,17 @@ def test_enumeration_deterministic():
 
 def test_dyadic_rejects_non_pow2():
     with pytest.raises(ConfigurationError):
-        list(enumerate_cubes(Grid((6,)), EnumerationMode.dyadic()))
+        list(enumerate_cubes(Grid((6,)), EnumerationMode("dyadic")))
 
 
 def test_mode_parse_roundtrip():
-    assert EnumerationMode.parse("all") == EnumerationMode.all()
-    assert EnumerationMode.parse("dyadic") == EnumerationMode.dyadic()
+    assert EnumerationMode.parse("all") == EnumerationMode("all")
+    assert EnumerationMode.parse("dyadic") == EnumerationMode("dyadic")
     assert EnumerationMode.parse("sample:100:3") == EnumerationMode.sample(100, 3)
     with pytest.raises(ConfigurationError):
         EnumerationMode.parse("sample:100")
-    assert default_mode(Grid((8,))) == EnumerationMode.all()
-    assert default_mode(Grid((8, 8))) == EnumerationMode.dyadic()
+    assert default_mode(Grid((8,))) == EnumerationMode("all")
+    assert default_mode(Grid((8, 8))) == EnumerationMode("dyadic")
 
 
 _FOUR = WeightedGrid(Grid((4,)), np.ones(4), np.ones(4))
@@ -122,6 +124,22 @@ _FOUR = WeightedGrid(Grid((4,)), np.ones(4), np.ones(4))
 def test_modes_and_cubes_outside_their_rules_are_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_shapes_whose_prefix_tables_outgrow_their_cells_are_refused():
+    # a padded prefix table holds prod(n + 1) entries: (1, 1, 1) is exactly
+    # 8 per cell, so every 1D-3D shape passes, and 29 one-cell axes would
+    # need 2^29 entries; the refusal comes before anything is allocated
+    for shape in [(1,), (1, 1), (1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (2, 2, 2, 2, 2)]:
+        assert Grid(shape).shape == shape
+    tracemalloc.start()
+    try:
+        for shape in [(1, 1, 1, 1), (1, 1, 2, 2), (1,) * 29]:
+            with pytest.raises(ConfigurationError, match=re.escape(f"shape {shape} has")):
+                Grid(shape)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
 
 
 def test_sample_count_is_bounded():
@@ -354,8 +372,8 @@ def test_loader_rejects_malformed_json(tmp_path):
             StepFunction(np.array([0.5, 2.0]), np.array([3.0, 1.0]), 2.0),
             {"breakpoints": [0.5, 2.0], "levels": [3.0, 1.0], "total_mass": 2.0},
         ),
-        (EnumerationMode.all(), {"tag": "all"}),
-        (EnumerationMode.dyadic(), {"tag": "dyadic"}),
+        (EnumerationMode("all"), {"tag": "all"}),
+        (EnumerationMode("dyadic"), {"tag": "dyadic"}),
         (EnumerationMode.sample(5, 2), {"tag": "sample", "count": 5, "seed": 2}),
     ],
     ids=lambda x: type(x).__name__,

@@ -32,7 +32,7 @@ from oscgrid import holder
 from conftest import random_float_grid
 from reference import naive_rh_constant
 
-ALL = EnumerationMode.all()
+ALL = EnumerationMode("all")
 
 
 def test_bound_formula_constants():
@@ -238,11 +238,11 @@ def test_verify_tail_bound_spike():
 
 def test_verify_tail_bound_power_pipeline():
     wg = generate(GenSpec("power", (4096,), {"a": 0.3}))
-    eps = gr_epsilon(wg, EnumerationMode.dyadic()).epsilon * (1 + 1e-6)
+    eps = gr_epsilon(wg, EnumerationMode("dyadic")).epsilon * (1 + 1e-6)
     lam = (eps + 2) / 2
     rho = (1 - lam / 2) / 2
     params = TailBoundParams(eps, lam, rho, (rho * wg.total_mass / 2,))
-    report = verify_rearrangement_bound(wg, params, EnumerationMode.dyadic())
+    report = verify_rearrangement_bound(wg, params, EnumerationMode("dyadic"))
     assert report.holds
     check = report.checks[0]
     assert check.n_cubes >= 1
@@ -304,7 +304,7 @@ def test_each_distinct_covering_cube_is_rechecked_once(monkeypatch):
 
     monkeypatch.setattr(holder, "_cube_moments", counted)
     params = TailBoundParams(eps, lam, rho, ts)
-    report = verify_rearrangement_bound(wg, params, EnumerationMode.dyadic())
+    report = verify_rearrangement_bound(wg, params, EnumerationMode("dyadic"))
     sf = rearrangement(wg)
     coverings = []
     for t, check in zip(ts, report.checks):

@@ -20,7 +20,7 @@ from oscgrid import (
 from conftest import random_float_grid, random_integer_grid
 from reference import naive_gr_epsilon
 
-ALL = EnumerationMode.all()
+ALL = EnumerationMode("all")
 
 
 def test_mean_constant():
@@ -194,8 +194,8 @@ def test_gr_epsilon_matches_naive_4d_dyadic():
     rng = np.random.default_rng(12)
     for _ in range(3):
         wg = random_integer_grid(rng, (4, 4, 4, 4))
-        res = gr_epsilon(wg, EnumerationMode.dyadic())
-        assert (res.epsilon, res.witness) == naive_gr_epsilon(wg, EnumerationMode.dyadic())
+        res = gr_epsilon(wg, EnumerationMode("dyadic"))
+        assert (res.epsilon, res.witness) == naive_gr_epsilon(wg, EnumerationMode("dyadic"))
         assert res.cubes_scanned == 256 + 16 + 1
 
 
@@ -203,7 +203,7 @@ def test_gr_epsilon_dyadic_and_sample_modes():
     rng = np.random.default_rng(11)
     wg = random_float_grid(rng, (16,), log_sigma=1.0)
     full = gr_epsilon(wg, ALL).epsilon
-    dyadic = gr_epsilon(wg, EnumerationMode.dyadic()).epsilon
+    dyadic = gr_epsilon(wg, EnumerationMode("dyadic")).epsilon
     sampled = gr_epsilon(wg, EnumerationMode.sample(300, seed=1)).epsilon
     assert dyadic <= full * (1 + 1e-15)
     assert sampled <= full * (1 + 1e-15)

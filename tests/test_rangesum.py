@@ -30,7 +30,7 @@ from oscgrid.grids import enumerate_cubes, iter_origin_batches
 from oscgrid.rangesum import RangeThresholdIndex
 from reference import naive_cubes
 
-MODES = [EnumerationMode.all(), EnumerationMode.sample(150, seed=5)]
+MODES = [EnumerationMode("all"), EnumerationMode.sample(150, seed=5)]
 
 
 def hard_grids(seed, count, max_n=70):
@@ -58,7 +58,7 @@ def hard_grids(seed, count, max_n=70):
 def test_estimates_within_radius_of_kernel():
     for wg in hard_grids(1, 80):
         n = wg.grid.shape[0]
-        index = RangeThresholdIndex(wg.weights, wg.values)
+        index = RangeThresholdIndex(wg)
         for side in range(1, n + 1):
             origins = np.arange(n - side + 1)[:, None]
             lo, hi = origins[:, 0], origins[:, 0] + side
@@ -82,7 +82,7 @@ def test_estimates_within_radius_of_kernel():
 def test_radius_is_tight_on_ordinary_data():
     rng = np.random.default_rng(2)
     wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
-    index = RangeThresholdIndex(wg.weights, wg.values)
+    index = RangeThresholdIndex(wg)
     side = 16
     origins = np.arange(256 - side + 1)[:, None]
     mass, wv, means = scan.batch_mass_mean(wg, side, origins)
@@ -222,9 +222,9 @@ def test_screen_leaves_few_cubes_to_the_kernel(monkeypatch):
     steep = generate(GenSpec("power", (256,), {"a": 0.5}))
     for wg, most in ((noisy, 10), (steep, 300)):  # of 3 x 32,896 cubes
         gathered.clear()
-        gr_epsilon(wg, EnumerationMode.all())
+        gr_epsilon(wg, EnumerationMode("all"))
         for beta in (0.05, 0.5):
-            alpha_profile(wg, beta, EnumerationMode.all())
+            alpha_profile(wg, beta, EnumerationMode("all"))
         assert sum(gathered) <= most
 
 
@@ -244,7 +244,7 @@ def test_one_range_minimum_per_screened_batch(monkeypatch):
     monkeypatch.setattr(RangeThresholdIndex, "range_min", counted_min)
     rng = np.random.default_rng(10)
     wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
-    epsilon_and_profile(wg, np.linspace(0.05, 0.95, 19), EnumerationMode.all())
+    epsilon_and_profile(wg, np.linspace(0.05, 0.95, 19), EnumerationMode("all"))
     # 32,896 cubes in batches of 8,192: one minimum per batch, not one per level
     assert calls == {"build": 1, "range_min": 5}
 
@@ -262,7 +262,7 @@ def test_one_query_per_kernel_sum_per_batch(monkeypatch):
         monkeypatch.setattr(RangeThresholdIndex, name, counted)
     rng = np.random.default_rng(10)
     wg = WeightedGrid(Grid((256,)), *np.exp(rng.standard_normal((2, 256))))
-    mode = EnumerationMode.all()
+    mode = EnumerationMode("all")
     eps, alpha = gr_epsilon(wg, mode).epsilon, alpha_profile(wg, 0.5, mode)[0]
     for verify in (lambda: verify_gr_to_ainfty(wg, eps, 1.5, mode),
                    lambda: verify_ainfty_to_gr(wg, LevelParams(alpha / 2, 0.5), mode)):
@@ -284,7 +284,7 @@ def test_whole_cubes_never_reach_the_query(monkeypatch):
     steep = generate(GenSpec("power", (256,), {"a": 0.5}))
     for beta in (0.05, 0.5):
         queried.clear()
-        alpha_profile(steep, beta, EnumerationMode.all())
+        alpha_profile(steep, beta, EnumerationMode("all"))
         for lo, hi, thresholds in queried:
             lowest = np.array([steep.values[a:b].min() for a, b in zip(lo, hi)])
             assert np.all(lowest <= thresholds)
@@ -296,7 +296,7 @@ def test_whole_cubes_never_reach_the_query(monkeypatch):
                         np.full(64, 2.0))
     queried.clear()
     at_mean = scan.Reduction(_fraction, maximize=False, level=1.0)
-    assert scan.reduce_family(flat, EnumerationMode.all(), (at_mean,))[0].value == 0.0
+    assert scan.reduce_family(flat, EnumerationMode("all"), (at_mean,))[0].value == 0.0
     assert sum(len(lo) for lo, _, _ in queried) == 64 * 65 // 2
 
 
@@ -319,7 +319,7 @@ def test_upper_sums_match_fsum_on_deep_matrices(n):
     wg = deep_grid(n, n)
     w, v = wg.weights, wg.values
     wv = w * v
-    index = RangeThresholdIndex(w, v)
+    index = RangeThresholdIndex(wg)
     assert 4**index.levels > n >= 4 ** (index.levels - 1)
     e_w, e_wv = index._radii()
     thresholds = np.concatenate([np.unique(v), [-np.inf, 0.0, np.inf]])
@@ -337,7 +337,7 @@ def test_upper_sums_match_fsum_on_deep_matrices(n):
         assert np.array_equal(index.range_min(lo, hi), np.full(lo.size, v[a:b].min()))
 
 
-@pytest.mark.parametrize("n, mode", [(257, EnumerationMode.all()),
+@pytest.mark.parametrize("n, mode", [(257, EnumerationMode("all")),
                                      (1025, EnumerationMode.sample(2000, seed=7))])
 def test_screened_equals_full_kernel_on_deep_matrices(n, mode):
     wg = deep_grid(n, 11, atom=False)  # next to an atom the screen opens every cube
@@ -350,9 +350,9 @@ def test_family_cubes_decode_the_canonical_order(monkeypatch):
         grid = Grid(shape)
         modes = [EnumerationMode.sample(50, seed=9)]
         if len(shape) <= 3:
-            modes.append(EnumerationMode.all())
+            modes.append(EnumerationMode("all"))
         if len(set(shape)) == 1 and shape[0] & (shape[0] - 1) == 0:
-            modes.append(EnumerationMode.dyadic())
+            modes.append(EnumerationMode("dyadic"))
         for mode in modes:
             expected = naive_cubes(grid, mode)
             assert list(enumerate_cubes(grid, mode)) == expected
@@ -373,14 +373,14 @@ def test_overflowing_sums_stay_on_the_kernel_path(monkeypatch):
     wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e296, 1e297, 8))
     assert np.isfinite(2 * np.sum(wg.weights * wg.values))
     with np.errstate(all="ignore"):
-        assert not RangeThresholdIndex(wg.weights, wg.values).finite
+        assert not RangeThresholdIndex(wg).finite
 
     def unused(*args):
         raise AssertionError("screened an overflowing grid")
 
     monkeypatch.setattr(RangeThresholdIndex, "upper_sums", unused)
-    assert gr_epsilon(wg, EnumerationMode.all()).cubes_scanned == 36
+    assert gr_epsilon(wg, EnumerationMode("all")).cubes_scanned == 36
     # where Sum w*v itself overflows, no cube sum can be trusted
     wg = WeightedGrid(Grid((8,)), np.full(8, 1e10), np.linspace(1e299, 8e299, 8))
     with pytest.raises(DomainError, match="overflow"):
-        gr_epsilon(wg, EnumerationMode.all())
+        gr_epsilon(wg, EnumerationMode("all"))
