@@ -22,19 +22,10 @@ from .ainfty import (
     verify_ainfty_to_gr,
     verify_gr_to_ainfty,
 )
-from .covering import CellSet, CoveringResult, build_covering, cell_set, overlap_constant
+from .covering import CoveringResult, build_covering
 from .errors import ConfigurationError, DataValidationError, DomainError, PreconditionError
-from .generators import GenSpec, generate, measured_epsilon
-from .grids import (
-    Cube,
-    EnumerationMode,
-    Grid,
-    WeightedGrid,
-    cube_mass,
-    default_mode,
-    enumerate_cubes,
-    validate,
-)
+from .generators import GenSpec, generate
+from .grids import Cube, EnumerationMode, Grid, WeightedGrid, default_mode, validate
 from .holder import (
     TailBoundParams,
     TailBoundReport,
@@ -45,24 +36,24 @@ from .holder import (
     rh_exponent_bound,
     verify_rearrangement_bound,
 )
-from .oscillation import GRResult, OscStats, gr_epsilon, mean, oscillation
+from .oscillation import GRResult, OscStats, gr_epsilon, oscillation
 from .rearrangement import StepFunction, average, evaluate, rearrangement
 from .wgrid_io import file_digest, load_wgrid, save_wgrid
 
 __all__ = [
     "__version__",
     "Grid", "WeightedGrid", "Cube", "EnumerationMode",
-    "validate", "enumerate_cubes", "cube_mass", "default_mode",
-    "OscStats", "GRResult", "mean", "oscillation", "gr_epsilon",
+    "validate", "default_mode",
+    "OscStats", "GRResult", "oscillation", "gr_epsilon",
     "LevelParams", "MarginReport", "level_fraction", "alpha_profile", "epsilon_and_profile",
     "gr_to_ainfty_params", "ainfty_to_gr_bound", "roundtrip_epsilon",
     "verify_gr_to_ainfty", "verify_ainfty_to_gr",
     "StepFunction", "rearrangement", "evaluate", "average",
-    "CellSet", "CoveringResult", "cell_set", "build_covering", "overlap_constant",
+    "CoveringResult", "build_covering",
     "TailBoundParams", "TailBoundReport", "TailCheck",
     "rearrangement_bound", "rh_exponent_bound", "optimize_rh_exponent",
     "verify_rearrangement_bound", "rh_constant",
-    "GenSpec", "generate", "measured_epsilon",
+    "GenSpec", "generate",
     "load_wgrid", "save_wgrid", "file_digest",
     "ConfigurationError", "DataValidationError", "DomainError", "PreconditionError",
 ]

@@ -83,7 +83,7 @@ class MarginReport(Report):
 def level_fraction(wg: WeightedGrid, cube: Cube, beta: float) -> float:
     """mu{cells in Q with value > beta*mean(Q)} / mu(Q), strict inequality."""
     _check_beta(beta)
-    w, v, mass, m = _cube_moments(wg, cube)
+    w, v, mass, m, _ = _cube_moments(wg, cube)
     return math.fsum(w[v > beta * m]) / mass
 
 

@@ -133,7 +133,7 @@ def _cmd_analyze(args, wg, mode):
         "conventions": {"zero_mass_cubes": "skipped", "zero_mean_cubes": "skipped"},
     }
     if args.plot_dir is not None:
-        _write_csv(args.plot_dir, "rearrangement.csv", "t,level", sf.csv_rows())
+        _write_csv(args.plot_dir, "rearrangement.csv", "t,level", zip(sf.breakpoints, sf.levels))
         _write_csv(
             args.plot_dir,
             "alpha_profile.csv",

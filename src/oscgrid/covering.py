@@ -34,21 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .grids import Cube, Grid, PrefixTable, Report, WeightedGrid, _corners, box_sums
 
-__all__ = ["CellSet", "CoveringResult", "cell_set", "build_covering", "overlap_constant"]
-
-
-@dataclass(frozen=True)
-class CellSet:
-    """Boolean cell membership plus its cached mu-mass."""
-
-    membership: np.ndarray
-    mass: float
-
-
-def cell_set(wg: WeightedGrid, membership: np.ndarray) -> CellSet:
-    mask = np.asarray(membership, dtype=bool).reshape(wg.grid.shape).copy()
-    mask.setflags(write=False)
-    return CellSet(membership=mask, mass=float(np.sum(wg.weights[mask])))
+__all__ = ["CoveringResult", "build_covering"]
 
 
 @dataclass(frozen=True)
@@ -101,22 +87,22 @@ def check_square(grid: Grid) -> None:
 
 
 def build_covering(
-    wg: WeightedGrid, target: CellSet, rho: float, rho_cap: float
+    wg: WeightedGrid, target: np.ndarray, rho: float, rho_cap: float
 ) -> CoveringResult:
+    """Cover the cells of E, the boolean mask `target` (grid-shaped or flat)."""
     if not (0 < rho <= rho_cap < 1):
         raise DomainError(f"need 0 < rho <= rho_cap < 1, got rho={rho} rho_cap={rho_cap}")
     check_square(wg.grid)
-    total = wg.total_mass
-    if target.mass > rho * total * (1 + 1e-12):
-        raise PreconditionError(
-            f"target set mass {target.mass} exceeds rho * mu(Q_0) = {rho * total}"
-        )
+    member = np.asarray(target, dtype=bool).reshape(wg.grid.shape)
+    total, mass = wg.total_mass, float(np.sum(wg.weights[member]))
+    if mass > rho * total * (1 + 1e-12):
+        raise PreconditionError(f"target set mass {mass} exceeds rho * mu(Q_0) = {rho * total}")
     shape = np.asarray(wg.grid.shape, dtype=np.int64)
 
-    e_prefix = PrefixTable(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * member)
     w_prefix = wg.w_prefix
 
-    uncovered = np.asarray(target.membership & (wg.weights > 0))
+    uncovered = member & (wg.weights > 0)
     flat = uncovered.ravel().copy()
     block = flat.reshape(wg.grid.shape)
     cells = np.flatnonzero(flat)
@@ -167,8 +153,3 @@ def _cover_counts(cubes: Sequence[Cube], grid: Grid) -> np.ndarray:
     for axis in range(dim):
         diff = np.cumsum(diff, axis=axis)
     return diff[tuple(slice(0, n) for n in grid.shape)]
-
-
-def overlap_constant(cubes: Sequence[Cube], grid: Grid) -> int:
-    """Exact max number of cubes containing any one cell; 1 for an empty family."""
-    return int(_cover_counts(cubes, grid).max()) if cubes else 1

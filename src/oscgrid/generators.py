@@ -34,10 +34,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import EnumerationMode, Grid, Report, WeightedGrid
-from .oscillation import gr_epsilon
+from .grids import Grid, Report, WeightedGrid
 
-__all__ = ["GenSpec", "generate", "measured_epsilon"]
+__all__ = ["GenSpec", "generate"]
 
 _KINDS = ("power", "spike", "two_level", "random")
 _MEASURES = ("uniform", "power_weight", "spike_weight", "random_weight")
@@ -164,8 +163,3 @@ def generate(spec: GenSpec) -> WeightedGrid:
     grid = Grid(spec.shape)
     with np.errstate(over="ignore"):  # a log-normal draw may overflow; the grid refuses it
         return WeightedGrid(grid, _weights(spec, grid), _values(spec, grid))
-
-
-def measured_epsilon(spec: GenSpec, mode: EnumerationMode | None = None) -> float:
-    """Convenience composition generate -> gr_epsilon."""
-    return gr_epsilon(generate(spec), mode).epsilon

@@ -33,8 +33,6 @@ __all__ = [
     "EnumerationMode",
     "PrefixTable",
     "validate",
-    "enumerate_cubes",
-    "cube_mass",
     "default_mode",
 ]
 
@@ -292,13 +290,6 @@ def validate(wg: WeightedGrid) -> None:
         raise DataValidationError("; ".join(violations))
 
 
-def cube_mass(wg: WeightedGrid, cube: Cube) -> float:
-    """mu(Q): mass of the cube via the prefix table."""
-    cube.check_fits(wg.grid)
-    origins = np.asarray([cube.origin], dtype=np.int64)
-    return float(box_sums(wg.w_prefix, origins, cube.side)[0])
-
-
 def family_counts(grid: Grid, mode: EnumerationMode) -> tuple[np.ndarray, ...]:
     """Per-side sides (ascending), origin strides and the cumsum of the cube
     counts of the family of `mode`; a sample draws from the "all" family."""
@@ -317,18 +308,6 @@ def family_counts(grid: Grid, mode: EnumerationMode) -> tuple[np.ndarray, ...]:
     return sides, steps, np.cumsum(counts)
 
 
-def enumerate_cubes(grid: Grid, mode: EnumerationMode) -> Iterator[Cube]:
-    """Yield the cube family of `mode` in canonical order.
-
-    Canonical order is part of the external contract: ascending side, then
-    lexicographic origin; sampled cubes come in draw order.  Two runs with
-    identical inputs produce identical sequences.
-    """
-    for sides, origins in iter_origin_batches(grid, mode):
-        for side, row in zip(sides.tolist(), origins.tolist()):
-            yield Cube(tuple(row), side)
-
-
 # cubes per batch; a few MB of live temporaries
 _CHUNK_CUBES = 1 << 13
 
@@ -336,10 +315,13 @@ _CHUNK_CUBES = 1 << 13
 def iter_origin_batches(
     grid: Grid, mode: EnumerationMode
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batched form of enumerate_cubes: (sides (k,), origins (k, dim)).
+    """The cube family of `mode` in batches: (sides (k,), origins (k, dim)).
 
-    Batches partition the canonical sequence in order, which is what the
-    deterministic scan reductions rely on.  Every family comes in batches
+    Canonical order is part of the external contract: ascending side, then
+    lexicographic origin; sampled cubes come in draw order.  Two runs with
+    identical inputs produce identical sequences.  Batches partition the
+    canonical sequence in order, which is what the deterministic scan
+    reductions rely on.  Every family comes in batches
     of at most _CHUNK_CUBES cubes, decoded from their positions in the
     family's canonical order (a sample's from the positions it drew in the
     "all" order), so a batch may mix sides; no array over the whole family

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ainfty import DEFAULT_TOL, _check_open_interval
-from .covering import CoveringResult, build_covering, cell_set, check_square
+from .covering import CoveringResult, build_covering, check_square
 from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, PrefixTable, Report, WeightedGrid, box_sums, default_mode
 from .oscillation import _cube_moments, gr_epsilon, require_gr
@@ -185,8 +185,7 @@ def tail_covering(
     fstar = float(evaluate(sf, t))
     if fstar == 0.0:
         return 0.0, CoveringResult((), None, None, 1, True)
-    target = cell_set(wg, wg.values > fstar)
-    return fstar, build_covering(wg, target, rho=rho, rho_cap=1 - lam / 2)
+    return fstar, build_covering(wg, wg.values > fstar, rho=rho, rho_cap=1 - lam / 2)
 
 
 def verify_rearrangement_bound(
@@ -222,8 +221,7 @@ def verify_rearrangement_bound(
         fss = float(average(sf, t))
         for cube in cover.cubes:
             if cube not in cube_stats:
-                w, v, mass, m = _cube_moments(wg, cube)
-                cube_stats[cube] = m, math.fsum(w * np.abs(v - m)) / mass
+                cube_stats[cube] = _cube_moments(wg, cube)[3:]
         stats = [cube_stats[cube] for cube in cover.cubes]
         failed = [i for i, (m, osc) in enumerate(stats) if osc > eps * m * (1 + 1e-12)]
         if failed:

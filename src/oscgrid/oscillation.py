@@ -36,7 +36,7 @@ from .errors import DomainError, PreconditionError
 from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
 from . import scan
 
-__all__ = ["OscStats", "GRResult", "mean", "oscillation", "gr_epsilon", "require_gr"]
+__all__ = ["OscStats", "GRResult", "oscillation", "gr_epsilon", "require_gr"]
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,20 @@ class GRResult(Report):
 
 
 def _cube_moments(wg: WeightedGrid, cube: Cube):
-    """(w, v, mass, mean) of one cube, with exact (fsum) accumulation."""
+    """(w, v, mass, mean, osc) of one cube, with exact (fsum) accumulation."""
     cube.check_fits(wg.grid)
     sl = cube.slices()
     w, v = wg.weights[sl].ravel(), wg.values[sl].ravel()
     mass = math.fsum(w)
     if not mass > 0:
         raise DomainError("zero-mass cube")
-    return w, v, mass, math.fsum(w * v) / mass
-
-
-def mean(wg: WeightedGrid, cube: Cube) -> float:
-    """Weighted mean of f over the cube; exact accumulation."""
-    return _cube_moments(wg, cube)[3]
+    m = math.fsum(w * v) / mass
+    return w, v, mass, m, math.fsum(w * np.abs(v - m)) / mass
 
 
 def oscillation(wg: WeightedGrid, cube: Cube) -> OscStats:
     """Mean, oscillation, and the lower half-sum for one cube (fsum-based)."""
-    w, v, mass, m = _cube_moments(wg, cube)
-    osc = math.fsum(w * np.abs(v - m)) / mass
+    w, v, mass, m, osc = _cube_moments(wg, cube)
     below = v < m
     lower = math.fsum(w[below] * (m - v[below]))
     return OscStats(mean=m, osc=osc, lower_half=lower, mass=mass)

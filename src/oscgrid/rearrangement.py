@@ -41,9 +41,6 @@ class StepFunction(Report):
     levels: np.ndarray
     total_mass: float
 
-    def csv_rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.breakpoints.tolist(), self.levels.tolist()))
-
 
 def rearrangement(wg: WeightedGrid) -> StepFunction:
     """Sort-and-accumulate construction; stable in cell index, zero-weight

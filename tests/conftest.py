@@ -6,7 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oscgrid import Grid, WeightedGrid
+from oscgrid import Cube, Grid, WeightedGrid
+from oscgrid.grids import iter_origin_batches
+
+
+def family(grid: Grid, mode) -> list[Cube]:
+    """The cube family of `mode` in canonical order, one Cube per cube."""
+    return [
+        Cube(tuple(origin), side)
+        for sides, origins in iter_origin_batches(grid, mode)
+        for side, origin in zip(sides.tolist(), origins.tolist())
+    ]
 
 
 @pytest.fixture

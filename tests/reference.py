@@ -233,18 +233,19 @@ def naive_covering(wg: WeightedGrid, target, rho: float, rho_cap: float):
         raise DomainError(f"need 0 < rho <= rho_cap < 1, got rho={rho} rho_cap={rho_cap}")
     if not wg.grid.is_square():
         raise ConfigurationError("covering construction needs an equal-sided grid")
-    total = wg.total_mass
-    if target.mass > rho * total * (1 + 1e-12):
+    member = np.asarray(target, dtype=bool).reshape(wg.grid.shape)
+    total, target_mass = wg.total_mass, float(np.sum(wg.weights[member]))
+    if target_mass > rho * total * (1 + 1e-12):
         raise PreconditionError(
-            f"target set mass {target.mass} exceeds rho * mu(Q_0) = {rho * total}"
+            f"target set mass {target_mass} exceeds rho * mu(Q_0) = {rho * total}"
         )
     shape = np.asarray(wg.grid.shape, dtype=np.int64)
     n_max = int(shape[0])
 
-    e_prefix = PrefixTable(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * member)
     w_prefix = wg.w_prefix
 
-    uncovered = np.asarray(target.membership & (wg.weights > 0))
+    uncovered = member & (wg.weights > 0)
     flat = uncovered.ravel().copy()
     cubes: list[Cube] = []
     densities: list[float] = []

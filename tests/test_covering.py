@@ -8,8 +8,6 @@ from oscgrid import (
     PreconditionError,
     WeightedGrid,
     build_covering,
-    cell_set,
-    overlap_constant,
 )
 
 from oscgrid import covering
@@ -28,7 +26,7 @@ def uniform8():
 
 def test_empty_target():
     wg = uniform8()
-    result = build_covering(wg, cell_set(wg, np.zeros(8, dtype=bool)), 0.25, 0.25)
+    result = build_covering(wg, np.zeros(8, dtype=bool), 0.25, 0.25)
     assert result.cubes == ()
     assert result.covered
     assert result.overlap == 1
@@ -37,7 +35,7 @@ def test_empty_target():
 
 def test_single_seed_growth():
     wg = uniform8()
-    result = build_covering(wg, cell_set(wg, np.arange(8) == 0), 0.25, 0.25)
+    result = build_covering(wg, np.arange(8) == 0, 0.25, 0.25)
     assert result.cubes == (Cube((0,), 4),)
     assert result.rho_lo == result.rho_hi == 0.25
     assert result.overlap == 1
@@ -46,7 +44,7 @@ def test_single_seed_growth():
 
 def test_two_seeds_disjoint():
     wg = uniform8()
-    result = build_covering(wg, cell_set(wg, np.isin(np.arange(8), [0, 7])), 0.25, 0.25)
+    result = build_covering(wg, np.isin(np.arange(8), [0, 7]), 0.25, 0.25)
     assert result.cubes == (Cube((0,), 4), Cube((4,), 4))
     assert result.overlap == 1
 
@@ -54,12 +52,12 @@ def test_two_seeds_disjoint():
 def test_precondition_mass_too_large():
     wg = uniform8()
     with pytest.raises(PreconditionError, match="exceeds"):
-        build_covering(wg, cell_set(wg, np.arange(8) < 4), 0.25, 0.3)
+        build_covering(wg, np.arange(8) < 4, 0.25, 0.3)
 
 
 def test_param_validation():
     wg = uniform8()
-    target = cell_set(wg, np.arange(8) == 0)
+    target = np.arange(8) == 0
     with pytest.raises(DomainError):
         build_covering(wg, target, 0.5, 0.25)
     with pytest.raises(DomainError):
@@ -69,18 +67,10 @@ def test_param_validation():
 def test_overlap_examples():
     grid = Grid((8,))
     a, b = Cube((0,), 2), Cube((4,), 2)
-    assert overlap_constant([a, b], grid) == 1
-    assert overlap_constant([a, a], grid) == 2
-    assert overlap_constant([Cube((0,), 4), Cube((1,), 2)], grid) == 2
-    assert overlap_constant([], grid) == 1
-
-
-def test_cellset_mass_consistency():
-    rng = np.random.default_rng(30)
-    wg = random_float_grid(rng, (16,), log_sigma=1.0)
-    member = rng.random(16) < 0.3
-    target = cell_set(wg, member)
-    assert target.mass == pytest.approx(np.sum(wg.weights[member]), rel=1e-15)
+    assert _cover_counts([a, b], grid).max() == 1
+    assert _cover_counts([a, a], grid).max() == 2
+    assert _cover_counts([Cube((0,), 4), Cube((1,), 2)], grid).max() == 2
+    assert _cover_counts([], grid).max() == 0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -99,8 +89,8 @@ def test_randomized_covering_postconditions(dim):
         while float(np.sum(w[member])) > rho * total and member.any():
             idx = np.argwhere(member)[-1]
             member[tuple(idx)] = False
-        target = cell_set(wg, member)
-        result = build_covering(wg, target, rho, rho_cap)
+        mass = float(np.sum(w[member]))
+        result = build_covering(wg, member, rho, rho_cap)
         assert result.covered
         union = np.zeros(shape, dtype=bool)
         for cube in result.cubes:
@@ -112,17 +102,16 @@ def test_randomized_covering_postconditions(dim):
             # the two covering facts the average bound consumes
             masses = [float(np.sum(w[c.slices()])) for c in result.cubes]
             inters = [float(np.sum(w[c.slices()] * member[c.slices()])) for c in result.cubes]
-            assert sum(inters) <= result.overlap * target.mass * (1 + 1e-12)
-            assert sum(masses) <= result.overlap * target.mass / result.rho_lo * (1 + 1e-12)
+            assert sum(inters) <= result.overlap * mass * (1 + 1e-12)
+            assert sum(masses) <= result.overlap * mass / result.rho_lo * (1 + 1e-12)
 
 
 def test_determinism():
     rng = np.random.default_rng(33)
     wg = random_float_grid(rng, (30,), log_sigma=1.5)
     member = rng.random(30) < 0.15
-    target = cell_set(wg, member)
-    r1 = build_covering(wg, target, 0.3, 0.5)
-    r2 = build_covering(wg, target, 0.3, 0.5)
+    r1 = build_covering(wg, member, 0.3, 0.5)
+    r2 = build_covering(wg, member, 0.3, 0.5)
     assert r1.cubes == r2.cubes
     assert r1.rho_lo == r2.rho_lo and r1.overlap == r2.overlap
 
@@ -132,7 +121,7 @@ def test_nonsquare_grid_rejected():
     from oscgrid import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        build_covering(wg, cell_set(wg, np.zeros((4, 6), dtype=bool)), 0.2, 0.3)
+        build_covering(wg, np.zeros((4, 6), dtype=bool), 0.2, 0.3)
 
 
 def _outcome(build, *args):
@@ -170,7 +159,7 @@ def _boundary_target(rng, wg, rho):
         if float(np.sum(w[member])) <= rho * wg.total_mass:
             break
         member[cell] = False
-    return cell_set(wg, member)
+    return member
 
 
 @pytest.mark.parametrize("chunk", [1, 7, covering._CHUNK])
@@ -187,7 +176,7 @@ def test_build_covering_equals_naive_oracle(dim, chunk, monkeypatch):
         rho_cap = float(rng.uniform(rho, 0.9))
         target = _boundary_target(rng, wg, rho)
         last = shape[0] - 1
-        for cell in np.argwhere(target.membership & (wg.weights > 0)):
+        for cell in np.argwhere(target & (wg.weights > 0)):
             faces_hit.update((axis, x == 0) for axis, x in enumerate(cell) if x in (0, last))
         expected, densities = naive_covering(wg, target, rho, rho_cap)
         result = build_covering(wg, target, rho, rho_cap)
@@ -223,10 +212,9 @@ def test_no_ring_reaches_the_cap_same_error(dim, chunk, monkeypatch):
         for _ in range(int(rng.integers(1, 4))):
             # corners and faces as often as the interior
             member[tuple(rng.choice([0, n - 1, int(rng.integers(0, n))], size=dim))] = True
-        target = cell_set(wg, member)
-        rho = target.mass / wg.total_mass * (1 - 1e-13)
-        expected = _outcome(lambda *a: naive_covering(*a)[0], wg, target, rho, rho)
-        assert _outcome(build_covering, wg, target, rho, rho) == expected
+        rho = float(np.sum(wg.weights[member])) / wg.total_mass * (1 - 1e-13)
+        expected = _outcome(lambda *a: naive_covering(*a)[0], wg, member, rho, rho)
+        assert _outcome(build_covering, wg, member, rho, rho) == expected
         if isinstance(expected, str):
             assert "reaches density" in expected
             errors += 1
@@ -249,11 +237,9 @@ def test_cover_counts_equal_slice_loop(dim):
             cubes.append(Cube((0,) * dim, n))  # the full domain
         counts = naive_cover_counts(cubes, grid)
         np.testing.assert_array_equal(_cover_counts(cubes, grid), counts)
-        assert overlap_constant(cubes, grid) == (int(counts.max()) if cubes else 1)
     for n in (1, 5):
         grid = Grid((n,) * dim)
         np.testing.assert_array_equal(_cover_counts([], grid), np.zeros(grid.shape))
-        assert overlap_constant([], grid) == 1
 
 
 def _first_cap_ring(wg, e_prefix, seed, rho_cap):
@@ -275,8 +261,8 @@ def test_box_sums_calls_are_per_ring_pass_not_per_seed(chunk, monkeypatch):
     at most two box_sums calls (mass and E-mass) per ring it needs."""
     rng = np.random.default_rng(70)
     wg = random_float_grid(rng, (64, 64), log_sigma=0.5)
-    target = cell_set(wg, rng.random((64, 64)) < 0.15)
-    rho = target.mass / wg.total_mass * 1.01
+    target = rng.random((64, 64)) < 0.15
+    rho = float(np.sum(wg.weights[target])) / wg.total_mass * 1.01
     rho_cap = 0.4
     passes = []
     search, sums = covering._first_cap_rings, covering.box_sums
@@ -295,7 +281,7 @@ def test_box_sums_calls_are_per_ring_pass_not_per_seed(chunk, monkeypatch):
     result = build_covering(wg, target, rho, rho_cap)
     if chunk == 64:
         assert len(passes) > 1
-    e_prefix = PrefixTable(wg.weights * target.membership)
+    e_prefix = PrefixTable(wg.weights * target)
     for seeds, calls in passes:
         needed = max(_first_cap_ring(wg, e_prefix, s, rho_cap) for s in seeds.tolist())
         assert calls <= 2 * (needed + 1)

@@ -7,7 +7,6 @@ from oscgrid import (
     GenSpec,
     generate,
     gr_epsilon,
-    measured_epsilon,
 )
 
 ALL = EnumerationMode("all")
@@ -15,7 +14,7 @@ ALL = EnumerationMode("all")
 
 def test_two_level_constant_gives_zero_epsilon():
     spec = GenSpec("two_level", (16,), {"lo": 1.0, "hi": 1.0, "fraction": 0.5})
-    assert measured_epsilon(spec, ALL) == 0.0
+    assert gr_epsilon(generate(spec), ALL).epsilon == 0.0
 
 
 def test_spike_epsilon():
@@ -23,7 +22,7 @@ def test_spike_epsilon():
     wg = generate(spec)
     assert list(wg.values) == [0.0, 0.0, 0.0, 1.0]
     assert list(wg.weights) == [0.25] * 4
-    assert measured_epsilon(spec, ALL) == pytest.approx(1.5, rel=1e-14)
+    assert gr_epsilon(wg, ALL).epsilon == pytest.approx(1.5, rel=1e-14)
 
 
 def test_power_exact_cell_average():
@@ -66,7 +65,7 @@ def test_distinct_seeds_differ():
 def test_regime_coverage():
     # at least one spec beyond epsilon > 1 and one non-doubling measure
     spike = GenSpec("spike", (64,), {"height": 5.0, "position": 0})
-    assert measured_epsilon(spike, ALL) > 1.0
+    assert gr_epsilon(generate(spike), ALL).epsilon > 1.0
     nd = generate(GenSpec("two_level", (32,), {"lo": 1, "hi": 2, "fraction": 0.5},
                           "spike_weight", {"mass": 1e6, "position": 7}))
     w = nd.weights
@@ -77,7 +76,7 @@ def test_regime_coverage():
 def test_epsilon_monotone_in_power_exponent():
     # regression table: measured epsilon non-decreasing in a at fixed N
     eps = [
-        measured_epsilon(GenSpec("power", (1024,), {"a": a}), EnumerationMode("dyadic"))
+        gr_epsilon(generate(GenSpec("power", (1024,), {"a": a})), EnumerationMode("dyadic")).epsilon
         for a in np.arange(0.1, 0.95, 0.1)
     ]
     assert all(x <= y + 1e-15 for x, y in zip(eps, eps[1:]))

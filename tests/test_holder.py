@@ -14,7 +14,6 @@ from oscgrid import (
     TailBoundParams,
     WeightedGrid,
     build_covering,
-    cell_set,
     evaluate,
     generate,
     gr_epsilon,
@@ -309,7 +308,7 @@ def test_each_distinct_covering_cube_is_rechecked_once(monkeypatch):
     coverings = []
     for t, check in zip(ts, report.checks):
         fstar = float(evaluate(sf, t))
-        cubes = build_covering(wg, cell_set(wg, wg.values > fstar), rho, 1 - lam / 2).cubes
+        cubes = build_covering(wg, wg.values > fstar, rho, 1 - lam / 2).cubes
         stats = [oscillation(wg, cube) for cube in cubes]
         assert check.mean_margin == min(lam / (lam - eps) * fstar - s.mean for s in stats)
         assert check.osc_margin == min(eps * lam / (lam - eps) * fstar - s.osc for s in stats)

@@ -15,7 +15,7 @@ import pytest
 from oscgrid import EnumerationMode, Grid, WeightedGrid
 from oscgrid import grids, scan
 from oscgrid.rangesum import RangeThresholdIndex
-from conftest import random_float_grid, random_integer_grid
+from conftest import family, random_float_grid, random_integer_grid
 
 
 def _fraction(s):
@@ -114,5 +114,5 @@ def test_one_gather_per_side_and_block(monkeypatch):
     calls.clear()
     mode = EnumerationMode.sample(300, seed=2)
     scan.reduce_family(wg, mode, REDUCTIONS)
-    sides = [c.side for c in grids.enumerate_cubes(wg.grid, mode)]
+    sides = [c.side for c in family(wg.grid, mode)]
     assert calls == [(side, sides.count(side)) for side in sorted(set(sides))]

@@ -12,7 +12,6 @@ from oscgrid import (
     WeightedGrid,
     alpha_profile,
     gr_epsilon,
-    mean,
     oscillation,
     rh_constant,
 )
@@ -25,22 +24,22 @@ ALL = EnumerationMode("all")
 
 def test_mean_constant():
     wg = WeightedGrid(Grid((3,)), [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-    assert mean(wg, Cube((0,), 3)) == 5.0
+    assert oscillation(wg, Cube((0,), 3)).mean == 5.0
 
 
 def test_mean_symmetric_two_point(two_cell):
-    assert mean(two_cell, Cube((0,), 2)) == 1.0
+    assert oscillation(two_cell, Cube((0,), 2)).mean == 1.0
 
 
 def test_mean_weighted_four_cell(four_cell):
     # naive oracle: (1*3 + 2*1 + 1*4 + 4*1) / 8 = 13/8
-    assert mean(four_cell, Cube((0,), 4)) == pytest.approx(13 / 8, rel=1e-15)
+    assert oscillation(four_cell, Cube((0,), 4)).mean == pytest.approx(13 / 8, rel=1e-15)
 
 
 def test_mean_zero_mass_raises():
     wg = WeightedGrid(Grid((2,)), [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(DomainError, match="zero-mass"):
-        mean(wg, Cube((0,), 1))
+        oscillation(wg, Cube((0,), 1))
 
 
 def test_oscillation_constant():

@@ -26,8 +26,9 @@ from oscgrid import (
     verify_gr_to_ainfty,
 )
 from oscgrid import grids, scan
-from oscgrid.grids import enumerate_cubes, iter_origin_batches
+from oscgrid.grids import iter_origin_batches
 from oscgrid.rangesum import RangeThresholdIndex
+from conftest import family
 from reference import naive_cubes
 
 MODES = [EnumerationMode("all"), EnumerationMode.sample(150, seed=5)]
@@ -355,7 +356,7 @@ def test_family_cubes_decode_the_canonical_order(monkeypatch):
             modes.append(EnumerationMode("dyadic"))
         for mode in modes:
             expected = naive_cubes(grid, mode)
-            assert list(enumerate_cubes(grid, mode)) == expected
+            assert family(grid, mode) == expected
             batches = list(iter_origin_batches(grid, mode))
             decoded = [
                 Cube(tuple(o), s)

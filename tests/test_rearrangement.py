@@ -147,7 +147,3 @@ def test_empty_measure_raises():
     # the grid refuses a measure with no positive weight before any rearrangement
     with pytest.raises(DataValidationError, match="^zero total mass$"):
         WeightedGrid(Grid((2,)), [0.0, 0.0], [1.0, 1.0])
-
-
-def test_csv_rows(two_atom):
-    assert two_atom.csv_rows() == [(0.5, 3.0), (1.0, 1.0)]
