@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import Grid, Report, WeightedGrid
+from .grids import Grid, Report, WeightedGrid, integer
 
 __all__ = ["GenSpec", "generate"]
 
@@ -51,7 +51,7 @@ class GenSpec(Report):
     measure_params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "shape", tuple(integer(n, "shape") for n in self.shape))
         object.__setattr__(self, "kind_params", dict(self.kind_params))
         object.__setattr__(self, "measure_params", dict(self.measure_params))
 
@@ -70,26 +70,33 @@ class GenSpec(Report):
 
 
 def _require(params: Mapping, name: str, context: str) -> float:
+    """The finite number params[name]; a bool or a str is not a number."""
     if name not in params:
         raise ConfigurationError(f"{context} needs parameter {name!r}")
+    raw = params[name]
     try:
-        value = float(params[name])
-    except (TypeError, ValueError):
+        value = math.nan if isinstance(raw, (bool, str)) else float(raw)
+    except (TypeError, ValueError, OverflowError):  # an int past float64 overflows
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigurationError(f"{context}: {name} must be a finite number, got {params[name]!r}")
+        raise ConfigurationError(f"{context}: {name} must be a finite number, got {raw!r}")
     return value
 
 
+def _require_int(params: Mapping, name: str, context: str) -> int:
+    _require(params, name, context)
+    return integer(params[name], f"{context}: {name}")
+
+
 def _rng(params: Mapping, context: str) -> np.random.Generator:
-    seed, raw = _require(params, "seed", context), params["seed"]
-    if seed < 0 or not seed.is_integer():
-        raise ConfigurationError(f"{context}: seed must be an integer >= 0, got {raw!r}")
-    return np.random.default_rng(int(raw) if isinstance(raw, int) else int(seed))
+    seed = _require_int(params, "seed", context)
+    if seed < 0:
+        raise ConfigurationError(f"{context}: seed must be an integer >= 0, got {params['seed']!r}")
+    return np.random.default_rng(seed)
 
 
 def _position(params: Mapping, ncells: int, context: str) -> int:
-    pos = int(_require(params, "position", context))
+    pos = _require_int(params, "position", context)
     if pos < 0:
         pos += ncells
     if not 0 <= pos < ncells:

@@ -58,6 +58,18 @@ def _encode(value):
     return value
 
 
+def integer(raw, field: str, error: type[ValueError] = ConfigurationError) -> int:
+    """`raw` read as an integer: an int or an integral float.  A bool, a
+    str or anything else is refused with `error`, naming `field`."""
+    try:
+        n = int(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{field}: {exc}") from exc
+    if isinstance(raw, (bool, str)) or n != raw:
+        raise error(f"{field}: expected an integer, got {raw!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Grid:
     """Regular grid over the unit cube.

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError
-from .grids import Grid, WeightedGrid
+from .grids import Grid, WeightedGrid, integer
 
 __all__ = ["load_wgrid", "save_wgrid", "file_digest"]
 
@@ -64,27 +64,16 @@ def _load_json(path: Path) -> tuple[WeightedGrid, str]:
         if field not in obj:
             raise DataValidationError(f"{field}: missing")
     try:
-        shape = tuple(_integer(n, "shape") for n in obj["shape"])
+        shape = tuple(integer(n, "shape", DataValidationError) for n in obj["shape"])
     except TypeError as exc:
         raise DataValidationError(f"shape: {exc}") from exc
-    dim = _integer(obj["dim"], "dim")
+    dim = integer(obj["dim"], "dim", DataValidationError)
     if dim != len(shape):
         raise DataValidationError(f"dim: {obj['dim']} does not match shape of length {len(shape)}")
     grid = Grid(shape)
     weights = _parse_numbers(obj["weights"], "weights", grid.ncells)
     values = _parse_numbers(obj["values"], "values", grid.ncells)
     return WeightedGrid(grid, weights, values), digest
-
-
-def _integer(raw, field: str) -> int:
-    """A JSON integer (or an integral float); booleans and strings are refused."""
-    try:
-        n = int(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataValidationError(f"{field}: {exc}") from exc
-    if isinstance(raw, (bool, str)) or n != raw:
-        raise DataValidationError(f"{field}: expected an integer, got {raw!r}")
-    return n
 
 
 def _parse_numbers(raw, field: str, expected: int) -> np.ndarray:

@@ -351,15 +351,29 @@ def test_generate_power_value(tmp_path, capsys):
 
 def test_generate_invalid_spec(tmp_path, capsys):
     out_path = tmp_path / "x.json"
-    for kind, params in [
-        ("power", '{"a": 1.2}'),
-        ("random", '{"seed": 1, "log_sigma": "a"}'),
-        ("random", '{"seed": -1, "log_sigma": 1}'),
-        ("spike", '{"height": 1e400, "position": 0}'),
+    huge = "1" + "0" * 400  # a JSON integer past float64
+    for kind, params, shape, field in [
+        ("power", '{"a": 1.2}', "[4]", None),
+        ("random", '{"seed": 1, "log_sigma": "a"}', "[4]", None),
+        ("random", '{"seed": -1, "log_sigma": 1}', "[4]", None),
+        ("spike", '{"height": 1e400, "position": 0}', "[4]", None),
+        # booleans, strings and non-integral numbers are not read as numbers
+        ("spike", '{"height": true, "position": 0}', "[4]", "height"),
+        ("spike", '{"height": "2", "position": 0}', "[4]", "height"),
+        ("random", '{"seed": true, "log_sigma": 1}', "[4]", "seed"),
+        ("spike", '{"height": 1, "position": 1.9}', "[4]", "position"),
+        ("spike", '{"height": 1, "position": 0}', "[4.7]", "shape"),
+        ("spike", '{"height": 1, "position": 0}', '["4"]', "shape"),
+        ("spike", '{"height": 1, "position": 0}', "[true, 4]", "shape"),
+        ("spike", f'{{"height": {huge}, "position": 0}}', "[4]", "height"),
+        ("spike", f'{{"height": 1, "position": {huge}}}', "[4]", "position"),
     ]:
-        spec = f'{{"kind": "{kind}", "shape": [4], "kind_params": {params}}}'
-        code, _, _ = run_cli(capsys, "generate", "--spec", spec, "--out", str(out_path))
+        spec = f'{{"kind": "{kind}", "shape": {shape}, "kind_params": {params}}}'
+        code, out, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out_path))
         assert code == 2 and not out_path.exists()
+        if field is not None:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert field in err
 
 
 def test_reports_byte_stable(tmp_path, capsys):
@@ -744,14 +758,38 @@ def test_benchmark_tracer_finds_every_grids_function():
     process because installing the tracer rebinds module attributes for
     good."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = "from tracing import Tracer; print(*Tracer().install().missing)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=bench, env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert [name for name in proc.stdout.split() if name.startswith("oscgrid.grids.")] == []
+
+
+def _child_env() -> dict:
+    """os.environ with the root of the imported oscgrid first on PYTHONPATH,
+    so a child process runs the same code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(grids.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
-    code = "from tracing import Tracer; print(*Tracer().install().missing)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=bench, env=env,
-                          capture_output=True, text=True, check=True)
-    assert [name for name in proc.stdout.split() if name.startswith("oscgrid.grids.")] == []
+    return env
+
+
+def test_both_module_entry_points_print_the_same_report(tmp_path):
+    """`python -m oscgrid.cli` runs cli.py's own __main__ block, a second
+    entry point beside `python -m oscgrid`.  Without that block it would
+    exit 0 and print nothing, and exit 0 means "the inequality holds"."""
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(
+        {"dim": 1, "shape": [4], "weights": [1, 2, 1, 4], "values": [3, 1, 4, 1]}
+    ))
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "analyze", str(path), "--mode", "all"],
+                       env=_child_env(), capture_output=True, check=False)
+        for module in ("oscgrid.cli", "oscgrid")
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["command"] == "analyze"
 
 
 def test_non_finite_report_value_is_a_usage_error(tmp_path, capsys):

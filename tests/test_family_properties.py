@@ -11,11 +11,18 @@ Power-of-two scaling: multiplying w by 2^k and v by 2^j changes no bit of
 a float ratio or comparison on these grids (no subnormal or overflowing
 value appears), so epsilon and every alpha* are bit-identical.
 
+Flips and transposes: flipping an axis or reversing the axes maps each
+family onto itself, so epsilon and every alpha* are invariant; the prefix
+tables then sum in another order, so they move by rounding only, within a
+stated relative radius.
+
 Theorem 1 holds cube by cube, in both directions, and c_hat >= 1 by the
 power-mean inequality: theorem1 fwd holds at the measured epsilon for any
 lambda in (epsilon, 2), theorem1 rev below the measured alpha*(beta), and
 these hold under every family.  Through the CLI, the same properties hold
 on grid files, and a 1D grid's JSON and CSV files give the same payloads.
+Theorem 2 holds at the measured epsilon, and rh --auto's exponent p* gives
+c_hat >= 1.
 
 Grids are 1D, 2D and 3D with power-of-two sides, log-normal weights
 (sigma 2) and values (sigma 1); every fourth seed puts a 1e10 atom on one
@@ -38,11 +45,15 @@ from oscgrid import (
     EnumerationMode,
     Grid,
     LevelParams,
+    TailBoundParams,
     WeightedGrid,
     epsilon_and_profile,
+    gr_epsilon,
+    optimize_rh_exponent,
     rh_constant,
     verify_ainfty_to_gr,
     verify_gr_to_ainfty,
+    verify_rearrangement_bound,
 )
 from oscgrid.cli import main
 from oscgrid.wgrid_io import save_wgrid
@@ -116,6 +127,25 @@ def test_power_of_two_scaling_keeps_every_bit(grid):
             assert _measure(w.shape, w * 2.0**k, v * 2.0**j, mode) == base, (mode.label(), k, j)
 
 
+def _flips_and_transpose(a):
+    return [np.flip(a, axis) for axis in range(a.ndim)] + [a.T]
+
+
+@pytest.mark.parametrize("exponent, radius", [(0, 1e-11), (6, 1e-7)])
+def test_flips_and_transposes_move_epsilon_and_alpha_star_by_rounding_only(exponent, radius):
+    # largest relative moves seen: 2.6e-13 without an atom, 1.8e-9 with 1e6
+    for dim, sides in _SIDES.items():
+        for side, seed in ((side, seed) for side in sides for seed in range(8)):
+            wg = _with_atom((side,) * dim, seed, exponent)
+            for mode in (EnumerationMode("all"), EnumerationMode("dyadic")):
+                eps, alphas = _measure(wg.grid.shape, wg.weights, wg.values, mode)
+                turned = zip(_flips_and_transpose(wg.weights), _flips_and_transpose(wg.values))
+                for i, (w, v) in enumerate(turned):
+                    eps_t, alphas_t = _measure(w.shape, w, v, mode)
+                    for a, b in zip([eps, *alphas], [eps_t, *alphas_t]):
+                        assert abs(a - b) <= radius * max(a, b), (side, dim, seed, mode.label(), i)
+
+
 def _check_theorem_properties(wg, mode):
     gr, alphas = epsilon_and_profile(wg, BETAS, mode)
     for k in (1, 2):
@@ -145,6 +175,29 @@ def test_theorem1_holds_at_the_measured_constants_and_c_hat_is_at_least_one(grid
 ])
 def test_theorem1_fails_next_to_heavier_atoms(shape, seed, exponent):
     _check_theorem_properties(_with_atom(shape, seed, exponent), EnumerationMode("all"))
+
+
+@pytest.mark.parametrize("shape", [(32,), (64,), (8, 8), (16, 16), (4, 4, 4)])
+def test_theorem2_and_rh_auto_hold_at_the_measured_epsilon(shape):
+    """theorem2 at the measured epsilon, with lambda halfway from epsilon to
+    2 and rho half its bound 1 - lambda/2, holds at every t with
+    k_achieved >= 1; within the atom caps above, rh --auto's p* exceeds 1
+    and c_hat at p* is at least 1."""
+    mode = EnumerationMode("all")
+    for exponent, seed in ((exponent, seed) for exponent in (0, 6, 9, 12, 14, 16)
+                           for seed in range(6)):
+        wg = _with_atom(shape, seed, exponent)
+        eps = gr_epsilon(wg, mode).epsilon
+        lam = eps + (2 - eps) / 2
+        rho = (1 - lam / 2) / 2
+        ts = tuple(f * rho * wg.total_mass for f in (0.01, 0.1, 0.5, 1))
+        report = verify_rearrangement_bound(wg, TailBoundParams(eps, lam, rho, ts), mode)
+        assert report.holds, (exponent, seed)
+        assert all(check.k_achieved >= 1 for check in report.checks), (exponent, seed)
+        if exponent <= _ATOM_EXPONENT[len(shape)]:
+            p_star = optimize_rh_exponent(eps)[2]
+            assert p_star > 1, (exponent, seed)
+            assert rh_constant(wg, p_star, mode)[0] >= 1, (exponent, seed)
 
 
 def _cli(*argv):
