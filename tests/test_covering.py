@@ -91,6 +91,7 @@ def test_randomized_covering_postconditions(dim):
             member[tuple(idx)] = False
         mass = float(np.sum(w[member]))
         result = build_covering(wg, member, rho, rho_cap)
+        assert build_covering(wg, member.ravel(), rho, rho_cap) == result  # a flat mask
         assert result.covered
         union = np.zeros(shape, dtype=bool)
         for cube in result.cubes:

@@ -33,6 +33,7 @@ and two such grids are kept as expected failures.
 
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -135,7 +136,7 @@ def _flips_and_transpose(a):
 def test_flips_and_transposes_move_epsilon_and_alpha_star_by_rounding_only(exponent, radius):
     # largest relative moves seen: 2.6e-13 without an atom, 1.8e-9 with 1e6
     for dim, sides in _SIDES.items():
-        for side, seed in ((side, seed) for side in sides for seed in range(8)):
+        for side, seed in itertools.product(sides, range(8)):
             wg = _with_atom((side,) * dim, seed, exponent)
             for mode in (EnumerationMode("all"), EnumerationMode("dyadic")):
                 eps, alphas = _measure(wg.grid.shape, wg.weights, wg.values, mode)
@@ -184,8 +185,7 @@ def test_theorem2_and_rh_auto_hold_at_the_measured_epsilon(shape):
     k_achieved >= 1; within the atom caps above, rh --auto's p* exceeds 1
     and c_hat at p* is at least 1."""
     mode = EnumerationMode("all")
-    for exponent, seed in ((exponent, seed) for exponent in (0, 6, 9, 12, 14, 16)
-                           for seed in range(6)):
+    for exponent, seed in itertools.product((0, 6, 9, 12, 14, 16), range(6)):
         wg = _with_atom(shape, seed, exponent)
         eps = gr_epsilon(wg, mode).epsilon
         lam = eps + (2 - eps) / 2
