@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
+from .grids import Cube, EnumerationMode, Report, WeightedGrid
 from .oscillation import GR_RATIO, GRResult, _cube_moments, gr_result, require_gr
 from . import scan
 
@@ -118,26 +118,22 @@ def roundtrip_epsilon(epsilon: float, lam: float) -> float:
     return ainfty_to_gr_bound(gr_to_ainfty_params(epsilon, lam))
 
 
-def alpha_profile(
-    wg: WeightedGrid, beta: float, mode: EnumerationMode | None = None
-) -> tuple[float, Cube]:
+def alpha_profile(wg: WeightedGrid, beta: float, mode: EnumerationMode) -> tuple[float, Cube]:
     """Largest certifiable level fraction at this beta.
 
     Returns (alpha_star, witness) where alpha_star is the minimum of
     level_fraction over positive-mass, positive-mean cubes; (alpha, beta)
     is a valid strict certificate for every alpha < alpha_star.
     """
-    mode = mode or default_mode(wg.grid)
     (res,) = scan.reduce_family(wg, mode, (_alpha_star(beta),))
     return res.value, res.witness
 
 
 def epsilon_and_profile(
-    wg: WeightedGrid, betas, mode: EnumerationMode | None = None
+    wg: WeightedGrid, betas, mode: EnumerationMode
 ) -> tuple[GRResult, list[tuple[float, Cube]]]:
     """gr_epsilon and alpha_profile at every beta, from one walk over the family."""
     reds = tuple(_alpha_star(float(beta)) for beta in betas)
-    mode = mode or default_mode(wg.grid)
     gr, *alphas = scan.reduce_family(wg, mode, (GR_RATIO, *reds))
     return gr_result(gr, mode), [(res.value, res.witness) for res in alphas]
 
@@ -180,7 +176,7 @@ def verify_gr_to_ainfty(
     wg: WeightedGrid,
     epsilon: float,
     lam: float,
-    mode: EnumerationMode | None = None,
+    mode: EnumerationMode,
     tol: float = DEFAULT_TOL,
 ) -> MarginReport:
     """Check mu{f > (1 - eps/lambda) mean} >= (1 - lambda/2) mu(Q) on every cube.
@@ -191,7 +187,6 @@ def verify_gr_to_ainfty(
     rounding, and holds applies the -tol*mu(Q) noise floor per cube.
     """
     params = gr_to_ainfty_params(epsilon, lam)
-    mode = mode or default_mode(wg.grid)
     margins = _margins(lambda s: s.lvl - params.alpha * s.mass, lambda s: s.mass, tol,
                        level=params.beta)
     gr, *res = scan.reduce_family(wg, mode, (GR_RATIO, *margins))
@@ -202,7 +197,7 @@ def verify_gr_to_ainfty(
 def verify_ainfty_to_gr(
     wg: WeightedGrid,
     params: LevelParams,
-    mode: EnumerationMode | None = None,
+    mode: EnumerationMode,
     tol: float = DEFAULT_TOL,
 ) -> MarginReport:
     """Check osc(Q) <= 2(1 - alpha*beta) mean(Q) on every cube.
@@ -213,7 +208,6 @@ def verify_ainfty_to_gr(
     refused, naming alpha*(beta) and its witness, the first cube in
     canonical order of least level fraction.
     """
-    mode = mode or default_mode(wg.grid)
     bound = ainfty_to_gr_bound(params)
 
     def margin(s: scan.CubeStats) -> np.ndarray:

@@ -47,7 +47,7 @@ import numpy as np
 from .ainfty import DEFAULT_TOL, _check_open_interval
 from .covering import CoveringResult, build_covering, check_square
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, PrefixTable, Report, WeightedGrid, box_sums, default_mode
+from .grids import Cube, EnumerationMode, PrefixTable, Report, WeightedGrid, box_sums
 from .oscillation import _cube_moments, gr_epsilon, require_gr
 from .rearrangement import StepFunction, average, evaluate, rearrangement
 from . import scan
@@ -92,7 +92,7 @@ def rh_exponent_bound(epsilon: float, lam: float, rho: float, overlap: float = 1
 
 
 def optimize_rh_exponent(
-    epsilon: float, overlap: float = 1.0, delta: float = DEFAULT_DELTA
+    epsilon: float, delta: float = DEFAULT_DELTA
 ) -> tuple[float, float, float]:
     """Maximize the exponent bound over lambda in (epsilon, 2).
 
@@ -102,7 +102,8 @@ def optimize_rh_exponent(
     and its one critical point in (eps, 2) is the positive root of
     (2 - c)*lambda^2 + 4c*lambda - 4(c + eps) = 0.  lambda_star is kept at
     least max(1e-12*(2 - eps), 1e-15) inside the open interval.
-    Returns (lambda_star, rho_star, p_star).
+    Returns (lambda_star, rho_star, p_star), p_star at overlap 1; a measured
+    overlap B gives rh_exponent_bound(epsilon, lambda_star, rho_star, B).
     """
     if not (0 < epsilon < 2):
         raise DomainError(f"need 0 < epsilon < 2, got {epsilon}")
@@ -113,7 +114,7 @@ def optimize_rh_exponent(
     gap = max(1e-12 * (2.0 - epsilon), 1e-15)
     lam_star = min(max(lam_star, epsilon + gap), 2.0 - gap)
     rho_star = (1.0 - lam_star / 2.0) * c
-    return lam_star, rho_star, rh_exponent_bound(epsilon, lam_star, rho_star, overlap)
+    return lam_star, rho_star, rh_exponent_bound(epsilon, lam_star, rho_star)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def tail_covering(
 def verify_rearrangement_bound(
     wg: WeightedGrid,
     params: TailBoundParams,
-    mode: EnumerationMode | None = None,
+    mode: EnumerationMode,
     tol: float = DEFAULT_TOL,
 ) -> TailBoundReport:
     """Run the full average-vs-rearrangement verification at each t.
@@ -209,7 +210,6 @@ def verify_rearrangement_bound(
     for t in params.t_values:
         if t > params.rho * total * (1 + 1e-12):
             raise DomainError(f"t={t} exceeds rho * mu(Q_0) = {params.rho * total}")
-    mode = mode or default_mode(wg.grid)
     measured = require_gr(gr_epsilon(wg, mode), params.epsilon)
 
     sf = rearrangement(wg)
@@ -257,9 +257,7 @@ def verify_rearrangement_bound(
     )
 
 
-def rh_constant(
-    wg: WeightedGrid, p: float, mode: EnumerationMode | None = None
-) -> tuple[float, Cube]:
+def rh_constant(wg: WeightedGrid, p: float, mode: EnumerationMode) -> tuple[float, Cube]:
     """Empirical reverse Holder constant over the enumerated family.
 
     c_hat = max over positive-mass, positive-mean cubes of
@@ -268,7 +266,6 @@ def rh_constant(
     """
     if not 1 < p < math.inf:
         raise DomainError(f"exponent must be finite and satisfy p > 1, got {p}")
-    mode = mode or default_mode(wg.grid)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows up as a non-finite c_hat
         wvp = np.where(wg.weights > 0, wg.weights * wg.values**p, 0.0)  # no mass, no 0 * inf
     wvp_prefix = PrefixTable(wvp)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .grids import Cube, EnumerationMode, Report, WeightedGrid, default_mode
+from .grids import Cube, EnumerationMode, Report, WeightedGrid
 from . import scan
 
 __all__ = ["OscStats", "GRResult", "oscillation", "gr_epsilon", "require_gr"]
@@ -82,9 +82,7 @@ def oscillation(wg: WeightedGrid, cube: Cube) -> OscStats:
     return OscStats(mean=m, osc=osc, lower_half=lower, mass=mass)
 
 
-def gr_epsilon(
-    wg: WeightedGrid, mode: EnumerationMode | None = None
-) -> GRResult:
+def gr_epsilon(wg: WeightedGrid, mode: EnumerationMode) -> GRResult:
     """Supremum of osc/mean over the enumerated family.
 
     Per cube the ratio is computed as Sum w*|v - mean| / Sum w*v (the same
@@ -92,7 +90,6 @@ def gr_epsilon(
     and zero-mean cubes contribute ratio 0.  The witness is the first cube
     in canonical order attaining the maximum.
     """
-    mode = mode or default_mode(wg.grid)
     return gr_result(scan.reduce_family(wg, mode, (GR_RATIO,))[0], mode)
 
 

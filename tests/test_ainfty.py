@@ -58,6 +58,8 @@ def test_level_fraction_validates():
         level_fraction(spike4(), Cube((0,), 4), 1.5)
     with pytest.raises(DomainError, match="does not fit"):
         level_fraction(spike4(), Cube((3,), 5), 0.5)
+    with pytest.raises(DomainError, match=r"^beta must lie in \(0,1\), got 0.0$"):
+        alpha_profile(spike4(), 0.0, ALL)
 
 
 def test_alpha_profile_constant():

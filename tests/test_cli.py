@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscgrid import EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent
+from oscgrid import (
+    EnumerationMode, Grid, WeightedGrid, gr_epsilon, optimize_rh_exponent, rh_exponent_bound,
+)
 from oscgrid import cli, grids, scan
 from oscgrid.cli import build_parser, main
 from oscgrid.wgrid_io import save_wgrid
@@ -115,8 +118,9 @@ def test_rh_auto_with_the_covering_overlap_optimizes_once(tmp_path, capsys, monk
     code, out, _ = run_cli(capsys, "rh", path, "--auto", "--B-from-covering")
     auto = json.loads(out)["payload"]["auto"]
     assert code == 0 and len(calls) == 1 and auto["overlap"] > 1
-    assert (auto["lambda_star"], auto["rho_star"], auto["p_star"]) == optimize_rh_exponent(
-        auto["measured_epsilon"], auto["overlap"])
+    lam, rho, _ = optimize_rh_exponent(auto["measured_epsilon"])
+    assert (auto["lambda_star"], auto["rho_star"], auto["p_star"]) == (
+        lam, rho, rh_exponent_bound(auto["measured_epsilon"], lam, rho, auto["overlap"]))
 
 
 def test_analyze_plot_dir(tmp_path, capsys):
@@ -207,6 +211,36 @@ def test_each_command_walks_the_family_once(tmp_path, capsys, monkeypatch, argv,
     code, _, _ = run_cli(capsys, argv[0], path, "--mode", mode, *argv[1:])
     assert code == 0
     assert walks == [EnumerationMode.parse(mode)]
+
+
+@pytest.mark.parametrize("verifier, argv", [
+    ("verify_gr_to_ainfty",
+     ["theorem1", "--direction", "fwd", "--epsilon", "1", "--lambda", "1.5"]),
+    ("verify_ainfty_to_gr",
+     ["theorem1", "--direction", "rev", "--alpha", "0.4", "--beta", "0.333"]),
+    ("verify_rearrangement_bound",
+     ["theorem2", "--epsilon", "1", "--lambda", "1.5", "--rho", "0.2", "--t", "0.2"]),
+], ids=["theorem1-fwd", "theorem1-rev", "theorem2"])
+def test_a_failed_inequality_exits_1_with_its_report(tmp_path, capsys, monkeypatch, verifier, argv):
+    # on valid data both theorems hold once their preconditions pass, so the
+    # verifier's real report is turned into a failed one
+    real = getattr(cli, verifier)
+    monkeypatch.setattr(cli, verifier,
+                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs),
+                                                                    holds=False))
+    code, out, err = run_cli(capsys, argv[0], write_two_cell(tmp_path), *argv[1:])
+    report = json.loads(out)
+    assert code == 1
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    payload = report["payload"]
+    assert (payload["report"] if argv[0] == "theorem1" else payload)["holds"] is False
+    assert err.count("\n") == 1 and err.endswith("\n") and "holds=False" in err
+
+
+def test_help_exits_0_with_the_usage_on_stdout(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
 
 
 def test_theorem1_rev(tmp_path, capsys):
@@ -367,6 +401,8 @@ def test_generate_invalid_spec(tmp_path, capsys):
         ("spike", '{"height": 1, "position": 0}', "[true, 4]", "shape"),
         ("spike", f'{{"height": {huge}, "position": 0}}', "[4]", "height"),
         ("spike", f'{{"height": 1, "position": {huge}}}', "[4]", "position"),
+        ("spike", '{"height": 1, "position": -5}', "[4]", "position out of range for 4 cells"),
+        ("power", '{"a": 0}', "[4]", "power kind needs 0 < a < 1, got 0"),
     ]:
         spec = f'{{"kind": "{kind}", "shape": {shape}, "kind_params": {params}}}'
         code, out, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out_path))
@@ -654,6 +690,13 @@ _USAGE_ERRORS = [
      "exhaustive enumeration is limited to dimensions 1..3"),
     (["analyze", "negative.json"], "negative weight at cell 19; ...and 2 more weight violations"),
     (["analyze", "shape-1111.json"], "shape (1, 1, 1, 1) has prefix tables over 8 times"),
+    # the first or last comparison of a chained range check
+    (["theorem1", "--direction", "rev", "--alpha", "0.5", "--beta", "0"],
+     "alpha and beta must lie in (0,1), got (0.5, 0.0)"),
+    (["theorem1", "--epsilon", "1.5", "--lambda", "2"],
+     "need 0 < epsilon < lambda < 2, got epsilon=1.5 lambda=2.0"),
+    (["theorem2", "--epsilon", "1.5", "--lambda", "1.8", "--rho", "0", "--t", "0.01"],
+     "need 0 < rho < 1 - lambda/2, got rho=0.0 lambda=1.8"),
 ]
 
 # grid files of their own for the refusals above
@@ -790,6 +833,16 @@ def test_both_module_entry_points_print_the_same_report(tmp_path):
     assert [run.returncode for run in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["command"] == "analyze"
+
+
+def test_importing_the_generators_loads_no_rangesum():
+    """The benchmark's set-up imports oscgrid.generators in fresh processes,
+    and its time is an end-to-end metric: the range-threshold index loads
+    only when a walk screens with it."""
+    code = "import sys, oscgrid.generators; print('oscgrid.rangesum' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_non_finite_report_value_is_a_usage_error(tmp_path, capsys):

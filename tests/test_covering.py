@@ -62,6 +62,8 @@ def test_param_validation():
         build_covering(wg, target, 0.5, 0.25)
     with pytest.raises(DomainError):
         build_covering(wg, target, 0.0, 0.25)
+    with pytest.raises(DomainError, match="rho_cap < 1, got rho=0.25 rho_cap=1.0"):
+        build_covering(wg, target, 0.25, 1.0)
 
 
 def test_overlap_examples():

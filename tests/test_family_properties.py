@@ -51,12 +51,16 @@ from oscgrid import (
     epsilon_and_profile,
     gr_epsilon,
     optimize_rh_exponent,
+    oscillation,
+    rearrangement,
     rh_constant,
+    rh_exponent_bound,
     verify_ainfty_to_gr,
     verify_gr_to_ainfty,
     verify_rearrangement_bound,
 )
 from oscgrid.cli import main
+from oscgrid.holder import tail_covering
 from oscgrid.wgrid_io import save_wgrid
 
 BETAS = (0.25, 0.5, 0.75)
@@ -183,7 +187,9 @@ def test_theorem2_and_rh_auto_hold_at_the_measured_epsilon(shape):
     """theorem2 at the measured epsilon, with lambda halfway from epsilon to
     2 and rho half its bound 1 - lambda/2, holds at every t with
     k_achieved >= 1; within the atom caps above, rh --auto's p* exceeds 1
-    and c_hat at p* is at least 1."""
+    and c_hat at p* is at least 1.  So does rh --auto --B-from-covering's
+    exponent, at the overlap B of the covering at t = rho* mu(Q_0), which
+    lies in GR(epsilon) cube by cube."""
     mode = EnumerationMode("all")
     for exponent, seed in itertools.product((0, 6, 9, 12, 14, 16), range(6)):
         wg = _with_atom(shape, seed, exponent)
@@ -195,9 +201,17 @@ def test_theorem2_and_rh_auto_hold_at_the_measured_epsilon(shape):
         assert report.holds, (exponent, seed)
         assert all(check.k_achieved >= 1 for check in report.checks), (exponent, seed)
         if exponent <= _ATOM_EXPONENT[len(shape)]:
-            p_star = optimize_rh_exponent(eps)[2]
+            lam_star, rho_star, p_star = optimize_rh_exponent(eps)
             assert p_star > 1, (exponent, seed)
             assert rh_constant(wg, p_star, mode)[0] >= 1, (exponent, seed)
+            _, cover = tail_covering(wg, rearrangement(wg), rho_star * wg.total_mass,
+                                     lam_star, rho_star)
+            p = rh_exponent_bound(eps, lam_star, rho_star, cover.overlap)
+            assert cover.overlap >= 1 and 1 < p <= p_star, (exponent, seed)
+            assert rh_constant(wg, p, mode)[0] >= 1, (exponent, seed)
+            for cube in cover.cubes:
+                stats = oscillation(wg, cube)
+                assert stats.osc / stats.mean <= eps * (1 + 1e-12), (exponent, seed, cube)
 
 
 def _cli(*argv):

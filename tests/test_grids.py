@@ -261,6 +261,7 @@ def test_wgrid_csv_load(tmp_path):
         (lambda o: o.__setitem__("shape", ["2"]), "shape: expected an integer, got '2'"),
         (lambda o: o.__setitem__("shape", 2), "shape: 'int' object is not iterable"),
         (lambda o: o.__setitem__("weights", [0.0, 0.0]), "^zero total mass$"),
+        (lambda o: o.__setitem__("weights", 5), "^weights: expected a flat list of 2 numbers$"),
     ],
 )
 def test_loader_rejections(tmp_path, mutate, field):
@@ -281,6 +282,7 @@ def test_loader_rejections(tmp_path, mutate, field):
         ("index,weight,value\n0,-1,1\n1,1,2\n", "^negative weight at cell 0$"),
         ("index,weight,value\n0,1,1\n0,1,2\n", "index: duplicate 0"),
         ("index,weight,value\n0,1,1\n2,1,2\n", "index: 2 out of range"),
+        ("index,weight,value\n-1,1,1\n0,1,2\n", "^index: -1 out of range for 2 rows$"),
         # a first line of three numbers is a data row, not a header to drop
         ("1,1,5\n0,1,2\n", "csv: missing header line"),
         ("0, 1e0 ,nan\n", "csv: missing header line"),

@@ -96,7 +96,7 @@ def test_exponent_times_bound_identity():
 
 
 def test_optimizer_matches_grid_oracle():
-    lam_star, rho_star, p_star = optimize_rh_exponent(1.0, 1.0, delta=1e-9)
+    lam_star, rho_star, p_star = optimize_rh_exponent(1.0, delta=1e-9)
     assert lam_star == pytest.approx(1.4641, abs=1e-3)
     assert p_star == pytest.approx(1.0718, abs=1e-3)
     # dense grid oracle
@@ -110,7 +110,7 @@ def test_optimizer_matches_grid_oracle():
 def test_optimizer_dominates_hand_picked():
     rng = np.random.default_rng(41)
     for eps in (0.2, 0.7, 1.3):
-        _, _, p_star = optimize_rh_exponent(eps, 1.0, delta=1e-9)
+        _, _, p_star = optimize_rh_exponent(eps, delta=1e-9)
         for _ in range(50):
             lam = float(rng.uniform(eps + 1e-6, 2 - 1e-9))
             rho = float(rng.uniform(1e-9, (1 - lam / 2) * (1 - 1e-9)))
@@ -124,20 +124,19 @@ def test_lambda_star_closed_form():
     for delta in (1e-9, 1e-6, 0.1, 0.5, 0.999):
         c = Fraction(1.0 - delta)
         for eps in (1e-6, 1e-3, 0.3, 1.0, 1.7, 1.99):
-            lam, rho, _ = optimize_rh_exponent(eps, 1.0, delta)
+            lam, rho, _ = optimize_rh_exponent(eps, delta)
             # the exact residual of (2-c)x^2 + 4cx - 4(c+eps) at the float
             # lambda, against its slope times one ulp of lambda
             x = Fraction(lam)
             residual = (2 - c) * x * x + 4 * c * x - 4 * (c + Fraction(eps))
             slope = 2 * (2 - c) * x + 4 * c
             assert abs(residual) <= 4 * slope * Fraction(np.spacing(lam))
-            assert optimize_rh_exponent(eps, 3.0, delta)[:2] == (lam, rho)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 2 - 1e-12])
 def test_lambda_star_stays_inside_the_open_interval(eps):
     for delta in (1e-9, 1e-6, 0.5):
-        lam, rho, p = optimize_rh_exponent(eps, 1.0, delta)
+        lam, rho, p = optimize_rh_exponent(eps, delta)
         assert eps < lam < 2
         assert rho > 0 and p >= 1
 
@@ -162,14 +161,17 @@ def test_optimizer_refuses_a_rho_that_rounds_onto_its_open_constraint():
     (1e-3, 1.0, (0.8291339008736539, 0.5854324641301234, 343.73151278898104)),
 ])
 def test_optimizer_values_at_the_default_delta(eps, overlap, expected):
-    # bit for bit the values of the optimizer's earlier inline exponent formula
+    # bit for bit the values of the optimizer's earlier inline exponent formula;
+    # p* is at overlap 1, and a measured overlap goes through rh_exponent_bound
     assert holder.DEFAULT_DELTA == 1e-6
-    assert optimize_rh_exponent(eps, overlap) == expected
-    assert optimize_rh_exponent(eps, overlap, delta=1e-6) == expected
+    lam, rho, p = optimize_rh_exponent(eps)
+    assert optimize_rh_exponent(eps, delta=1e-6) == (lam, rho, p)
+    assert p == rh_exponent_bound(eps, lam, rho)
+    assert (lam, rho, rh_exponent_bound(eps, lam, rho, overlap)) == expected
 
 
 def test_optimizer_collapses_near_two():
-    _, _, p_star = optimize_rh_exponent(2 - 1e-9, 1.0)
+    _, _, p_star = optimize_rh_exponent(2 - 1e-9)
     assert p_star == pytest.approx(1.0, abs=1e-8)
 
 
